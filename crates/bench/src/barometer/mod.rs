@@ -6,8 +6,8 @@
 //! - [`registry`] — the data-driven benchmark catalogue (embedded
 //!   `registry.json`), keyed `suite/stage/nSIZE/tTHREADS`, with
 //!   declarative perf gates (`max_ns`, `gate: {vs, max_ratio}`).
-//! - [`workloads`] — the measured operation behind each stage, timed on
-//!   the calibrated trace clock.
+//! - [`workloads`] — the table from stage name to the measured
+//!   operation behind it, timed on the calibrated trace clock.
 //! - [`runner`] — selection (`--filter`, `--quick`), execution under
 //!   deterministic `bench.case` spans, gate evaluation, and the
 //!   human-readable run report.
@@ -25,7 +25,7 @@ pub mod workloads;
 
 pub use cmp::{compare, decide, threshold_pct, CmpOptions, CmpReport, CmpRow, Verdict};
 pub use record::{BenchResult, EnvFingerprint, Record, RECORD_SCHEMA};
-pub use registry::{BenchDef, Gate, Registry, Stage, REGISTRY_SCHEMA};
+pub use registry::{BenchDef, Gate, Registry, REGISTRY_SCHEMA};
 pub use runner::{render_report, run_registry, GateOutcome, RunOptions, RunOutput};
 
 /// Render a nanosecond quantity with a human-scale unit.

@@ -3,119 +3,21 @@
 //! Benchmarks are *data*, not code: the built-in registry lives in
 //! `registry.json` (embedded at compile time) and an alternate file can
 //! be loaded with `fgbs bench --registry FILE`. Each entry names a
-//! workload [`Stage`] the runner knows how to execute, keyed by
-//! suite × stage × size × threads, with its sample counts, per-sample
-//! batch size, and optional perf gates — either an absolute per-op
-//! bound (`max_ns`) or a ratio bound against a sibling entry (`gate`).
+//! `stage` from the workload table (`workloads::WORKLOADS`),
+//! keyed by suite × stage × size × threads, with its sample counts,
+//! per-sample batch size, and optional perf gates — either an absolute
+//! per-op bound (`max_ns`) or a ratio bound against a sibling entry
+//! (`gate`).
 //!
-//! Adding a benchmark means adding a JSON object; the set of stages the
-//! runner implements is the only code surface.
+//! Adding a benchmark means adding a JSON object; the workload table is
+//! the only code surface.
 
 use fgbs_trace::Json;
 
+use super::workloads;
+
 /// Registry format version. Bump when the entry schema changes.
 pub const REGISTRY_SCHEMA: u64 = 1;
-
-/// The measured workloads the runner implements. The registry maps each
-/// entry onto one of these by its `stage` string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Fixed splitmix spin: the machine-speed calibration anchor.
-    Calibrate,
-    /// Pairwise Euclidean distance construction over `size` codelets.
-    Distance,
-    /// O(n²) NN-chain Ward linkage over a prebuilt distance matrix.
-    LinkageNnChain,
-    /// O(n³) naive closest-pair scan (the oracle the chain replaced).
-    LinkageNaive,
-    /// Medoid selection over an 8-way cut of the dendrogram.
-    Medoid,
-    /// GA fitness, cold: masked distances from scratch (64 of 76 bits).
-    GaMaskedCold,
-    /// GA fitness, incremental: patch 2 flipped feature bits.
-    GaMaskedPatch,
-    /// Full GA feature selection on `size` Test-class NR codes.
-    GaSelect,
-    /// Artifact store publish: one fsynced put of a `size`-byte payload.
-    StorePublish,
-    /// Artifact store replay: one get of a stored `size`-byte payload.
-    StoreReplay,
-    /// One enabled trace span with a u64 argument.
-    TraceSpan,
-    /// One disarmed failpoint probe (a single relaxed atomic load).
-    FaultProbe,
-    /// Full profile+reduce pipeline on `size` Test-class NR codes.
-    PipelineReduce,
-    /// The same pipeline with the trace collector enabled (flight
-    /// recorder explicitly disarmed: this isolates the span cost).
-    PipelineReduceTraced,
-    /// The traced pipeline with the flight recorder armed — the full
-    /// production observability posture.
-    PipelineReduceTracedArmed,
-    /// One armed flight-recorder event (`record_at` into the ring).
-    ObsFlightrecRecord,
-    /// One value recorded into a log-linear quantile histogram.
-    ObsHistRecord,
-    /// Build + encode a snippet pack from `size` bigdata apps.
-    SnippetPack,
-    /// Parse + checksum + semantically validate an encoded pack.
-    SnippetUnpackVerify,
-    /// Replay a parsed pack against its bitwise contract.
-    SnippetReplay,
-    /// Execute the same codelets in-process (the replay baseline).
-    SnippetInproc,
-    /// Mean per-request latency of a keep-alive load run against the
-    /// event-driven server (`size` concurrent connections).
-    ServeLoadEvent,
-    /// Mean per-request latency of a one-connection-per-request load
-    /// run against the blocking thread-per-connection server.
-    ServeLoadBlocking,
-    /// p99 per-request latency, event-driven server.
-    ServeLoadEventP99,
-    /// p99 per-request latency, blocking server.
-    ServeLoadBlockingP99,
-    /// Wall-clock nanoseconds per completed request (inverse
-    /// throughput), event-driven server.
-    ServeLoadEventWall,
-    /// Wall-clock nanoseconds per completed request, blocking server.
-    ServeLoadBlockingWall,
-}
-
-impl Stage {
-    /// Parse the registry's `stage` string.
-    pub fn parse(s: &str) -> Option<Stage> {
-        Some(match s {
-            "calibrate" => Stage::Calibrate,
-            "distance" => Stage::Distance,
-            "linkage_nnchain" => Stage::LinkageNnChain,
-            "linkage_naive" => Stage::LinkageNaive,
-            "medoid" => Stage::Medoid,
-            "ga_masked_cold" => Stage::GaMaskedCold,
-            "ga_masked_patch" => Stage::GaMaskedPatch,
-            "ga_select" => Stage::GaSelect,
-            "store_publish" => Stage::StorePublish,
-            "store_replay" => Stage::StoreReplay,
-            "trace_span" => Stage::TraceSpan,
-            "fault_probe" => Stage::FaultProbe,
-            "pipeline_reduce" => Stage::PipelineReduce,
-            "pipeline_reduce_traced" => Stage::PipelineReduceTraced,
-            "pipeline_reduce_traced_armed" => Stage::PipelineReduceTracedArmed,
-            "obs_flightrec_record" => Stage::ObsFlightrecRecord,
-            "obs_hist_record" => Stage::ObsHistRecord,
-            "snippet_pack" => Stage::SnippetPack,
-            "snippet_unpack_verify" => Stage::SnippetUnpackVerify,
-            "snippet_replay" => Stage::SnippetReplay,
-            "snippet_inproc" => Stage::SnippetInproc,
-            "serve_load_event" => Stage::ServeLoadEvent,
-            "serve_load_blocking" => Stage::ServeLoadBlocking,
-            "serve_load_event_p99" => Stage::ServeLoadEventP99,
-            "serve_load_blocking_p99" => Stage::ServeLoadBlockingP99,
-            "serve_load_event_wall" => Stage::ServeLoadEventWall,
-            "serve_load_blocking_wall" => Stage::ServeLoadBlockingWall,
-            _ => return None,
-        })
-    }
-}
 
 /// A ratio gate: `median(self) <= max_ratio × median(vs)`, checked
 /// within one run. `max_ratio < 1` asserts a speedup (the NN-chain must
@@ -137,8 +39,8 @@ pub struct BenchDef {
     pub id: String,
     /// Grouping label (`clustering`, `store`, `calibration`, …).
     pub suite: String,
-    /// The workload to run.
-    pub stage: Stage,
+    /// The workload to run: a name in the workload table.
+    pub stage: String,
     /// Problem-size knob, interpreted per stage (codelets, bytes, apps).
     pub size: usize,
     /// Worker threads; `0` means "use the runner's `--threads`".
@@ -254,9 +156,10 @@ fn parse_entry(e: &Json) -> Result<BenchDef, String> {
             .ok_or_else(|| format!("benchmark entry needs a numeric `{key}`: {}", e.render()))
     };
     let id = str_field("id")?;
-    let stage_name = str_field("stage")?;
-    let stage = Stage::parse(&stage_name)
-        .ok_or_else(|| format!("`{id}`: unknown stage `{stage_name}`"))?;
+    let stage = str_field("stage")?;
+    if workloads::workload(&stage).is_none() {
+        return Err(format!("`{id}`: unknown stage `{stage}`"));
+    }
     let iters = num_field("iters")? as usize;
     let quick_iters = num_field("quick_iters")? as usize;
     if iters == 0 || quick_iters == 0 {
@@ -333,6 +236,7 @@ mod tests {
             "snippet",
             "obs",
             "serve",
+            "machine",
         ] {
             assert!(
                 r.benchmarks.iter().any(|b| b.suite == suite),
@@ -373,18 +277,15 @@ mod tests {
         let gate = replay.gate.as_ref().unwrap();
         assert_eq!(gate.vs, "snippet/inproc/n3/t1");
         assert_eq!(gate.max_ratio, 1.05);
-        // The event-driven serve loop must beat the thread-per-
-        // connection baseline on mean latency, p99, and throughput at
-        // 64 concurrent connections.
-        for (event, blocking) in [
-            ("serve/hot_event/n64/t4", "serve/hot_blocking/n64/t4"),
-            ("serve/p99_event/n64/t4", "serve/p99_blocking/n64/t4"),
-            ("serve/wall_event/n64/t4", "serve/wall_blocking/n64/t4"),
+        // The serve rows are absolute: mean, p99 and wall per request at
+        // 64 keep-alive connections, held by `bench cmp` alone.
+        for id in [
+            "serve/hot_event/n64/t4",
+            "serve/p99_event/n64/t4",
+            "serve/wall_event/n64/t4",
         ] {
-            let e = r.find(event).unwrap();
-            let gate = e.gate.as_ref().unwrap();
-            assert_eq!(gate.vs, blocking);
-            assert_eq!(gate.max_ratio, 1.0);
+            let row = r.find(id).unwrap();
+            assert!(row.gate.is_none() && row.max_ns.is_none(), "{id}");
         }
     }
 
@@ -420,41 +321,5 @@ mod tests {
         ] {
             assert!(Registry::parse(bad).is_err(), "should reject: {why}");
         }
-    }
-
-    #[test]
-    fn stage_names_round_trip() {
-        for name in [
-            "calibrate",
-            "distance",
-            "linkage_nnchain",
-            "linkage_naive",
-            "medoid",
-            "ga_masked_cold",
-            "ga_masked_patch",
-            "ga_select",
-            "store_publish",
-            "store_replay",
-            "trace_span",
-            "fault_probe",
-            "pipeline_reduce",
-            "pipeline_reduce_traced",
-            "pipeline_reduce_traced_armed",
-            "obs_flightrec_record",
-            "obs_hist_record",
-            "snippet_pack",
-            "snippet_unpack_verify",
-            "snippet_replay",
-            "snippet_inproc",
-            "serve_load_event",
-            "serve_load_blocking",
-            "serve_load_event_p99",
-            "serve_load_blocking_p99",
-            "serve_load_event_wall",
-            "serve_load_blocking_wall",
-        ] {
-            assert!(Stage::parse(name).is_some(), "stage `{name}` must parse");
-        }
-        assert!(Stage::parse("nope").is_none());
     }
 }

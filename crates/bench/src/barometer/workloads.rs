@@ -1,4 +1,9 @@
-//! The measured workloads behind each registry [`Stage`].
+//! The measured workloads behind the registry's stages.
+//!
+//! [`WORKLOADS`] maps each `stage` name a registry entry may use to the
+//! function that measures it; `Registry::parse` rejects any other name.
+//! A new benchmark is one `registry.json` line, plus one function and
+//! one table entry here when it needs a new stage.
 //!
 //! Every stage builds its inputs *outside* the timed region, runs one
 //! untimed warm-up operation, then records `samples` wall-clock samples
@@ -18,16 +23,18 @@ use std::hint::black_box;
 use fgbs_clustering::{linkage, medoid, normalize, DistanceMatrix, Linkage, MaskedDistanceCache};
 use fgbs_clustering::naive_linkage;
 use fgbs_core::{profile_reference, reduce_cached, select_features_ga, KChoice, MicroCache, PipelineConfig};
+use fgbs_extract::Application;
 use fgbs_genetic::GaConfig;
-use fgbs_machine::{Arch, PARK_SCALE};
+use fgbs_isa::{compile, BindingBuilder, CodeletBuilder, CompileMode, Precision};
+use fgbs_machine::{Arch, Machine, PARK_SCALE};
 use fgbs_matrix::Matrix;
 use fgbs_pool::WorkPool;
-use fgbs_serve::{loadgen, LoopOptions, ServeOptions, Server, Service};
+use fgbs_serve::{loadgen, Server, Service};
 use fgbs_snippet::{build_pack, encode_pack, parse_pack, replay_pack, snippet_digest, verify_pack};
 use fgbs_store::{ArtifactKind, Store};
 use fgbs_suites::{bigdata_suite, nr_suite, Class};
 
-use super::registry::{BenchDef, Stage};
+use super::registry::BenchDef;
 
 /// One splitmix64 step — the calibration spin and the synthetic data
 /// generator share it.
@@ -103,288 +110,386 @@ fn with_flightrec_armed<T>(on: bool, f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Per-op nanosecond samples, or why the workload could not run.
+pub type Samples = Result<Vec<f64>, String>;
+
+/// A stage's measurement: `samples` samples of `def`'s workload on
+/// `threads` workers (`threads: 0` entries already resolved to the
+/// runner's `--threads`).
+pub(crate) type Workload = fn(def: &BenchDef, samples: usize, threads: usize) -> Samples;
+
+/// Every stage a registry entry may name, with the workload behind it.
+pub(crate) const WORKLOADS: &[(&str, Workload)] = &[
+    ("calibrate", calibrate),
+    ("distance", distance),
+    ("linkage_nnchain", linkage_nnchain),
+    ("linkage_naive", linkage_naive),
+    ("medoid", medoids),
+    ("ga_masked_cold", ga_masked_cold),
+    ("ga_masked_patch", ga_masked_patch),
+    ("ga_select", ga_select),
+    ("store_publish", store_publish),
+    ("store_replay", store_replay),
+    ("trace_span", trace_span),
+    ("fault_probe", fault_probe),
+    ("pipeline_reduce", pipeline_reduce),
+    ("pipeline_reduce_traced", pipeline_reduce_traced),
+    ("pipeline_reduce_traced_armed", pipeline_reduce_traced_armed),
+    ("obs_flightrec_record", obs_flightrec_record),
+    ("obs_hist_record", obs_hist_record),
+    ("snippet_pack", snippet_pack),
+    ("snippet_unpack_verify", snippet_unpack_verify),
+    ("snippet_replay", snippet_replay),
+    ("snippet_inproc", snippet_inproc),
+    ("serve_load_event", serve_load_mean),
+    ("serve_load_event_p99", serve_load_p99),
+    ("serve_load_event_wall", serve_load_wall),
+    ("machine_run_triad", machine_run_triad),
+];
+
+/// The workload registered for `stage`.
+pub(crate) fn workload(stage: &str) -> Option<Workload> {
+    WORKLOADS
+        .iter()
+        .find(|(name, _)| *name == stage)
+        .map(|&(_, run)| run)
+}
+
 /// Execute `def`'s workload and return `samples` per-op nanosecond
 /// samples. `effective_threads` substitutes for `threads: 0` entries.
-pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Result<Vec<f64>, String> {
+pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Samples {
+    let run = workload(&def.stage)
+        .ok_or_else(|| format!("`{}`: unknown stage `{}`", def.id, def.stage))?;
     let threads = if def.threads == 0 {
         effective_threads
     } else {
         def.threads
     };
-    let batch = def.batch;
-    let out = match def.stage {
-        Stage::Calibrate => {
-            let n = def.size as u64;
-            run_samples(batch, samples, |i| {
-                let mut acc = 0x243F_6A88_85A3_08D3u64 ^ i;
-                for k in 0..n {
-                    acc = acc.wrapping_add(splitmix(acc ^ k));
-                }
-                black_box(acc);
-            })
+    run(def, samples, threads)
+}
+
+/// Fixed splitmix spin: the machine-speed calibration anchor.
+fn calibrate(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let n = def.size as u64;
+    Ok(run_samples(def.batch, samples, |i| {
+        let mut acc = 0x243F_6A88_85A3_08D3u64 ^ i;
+        for k in 0..n {
+            acc = acc.wrapping_add(splitmix(acc ^ k));
         }
-        Stage::Distance => {
-            let data = observations(def.size, 14);
-            let pool = WorkPool::new(threads);
-            run_samples(batch, samples, |_| {
-                black_box(DistanceMatrix::euclidean_with(&data, &pool));
-            })
+        black_box(acc);
+    }))
+}
+
+/// Pairwise Euclidean distance construction over `size` codelets.
+fn distance(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let data = observations(def.size, 14);
+    let pool = WorkPool::new(threads);
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(DistanceMatrix::euclidean_with(&data, &pool));
+    }))
+}
+
+/// O(n²) NN-chain Ward linkage over a prebuilt distance matrix.
+fn linkage_nnchain(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let d = DistanceMatrix::euclidean(&observations(def.size, 14));
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(linkage(&d, Linkage::Ward));
+    }))
+}
+
+/// O(n³) naive closest-pair scan (the oracle the chain replaced).
+fn linkage_naive(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let d = DistanceMatrix::euclidean(&observations(def.size, 14));
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(naive_linkage(&d, Linkage::Ward));
+    }))
+}
+
+/// Medoid selection over an 8-way cut of the dendrogram.
+fn medoids(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let data = observations(def.size, 14);
+    let dend = linkage(&DistanceMatrix::euclidean(&data), Linkage::Ward);
+    let k = 8.min(def.size);
+    let part = dend.cut(k);
+    Ok(run_samples(def.batch, samples, |_| {
+        for c in 0..k {
+            black_box(medoid(&data, &part, c, &[]));
         }
-        Stage::LinkageNnChain => {
-            let d = DistanceMatrix::euclidean(&observations(def.size, 14));
-            run_samples(batch, samples, |_| {
-                black_box(linkage(&d, Linkage::Ward));
-            })
-        }
-        Stage::LinkageNaive => {
-            let d = DistanceMatrix::euclidean(&observations(def.size, 14));
-            run_samples(batch, samples, |_| {
-                black_box(naive_linkage(&d, Linkage::Ward));
-            })
-        }
-        Stage::Medoid => {
-            let data = observations(def.size, 14);
-            let dend = linkage(&DistanceMatrix::euclidean(&data), Linkage::Ward);
-            let k = 8.min(def.size);
-            let part = dend.cut(k);
-            run_samples(batch, samples, |_| {
-                for c in 0..k {
-                    black_box(medoid(&data, &part, c, &[]));
-                }
-            })
-        }
-        Stage::GaMaskedCold => {
-            let z = observations(def.size, 76);
-            let all: Vec<usize> = (0..64).collect();
-            run_samples(batch, samples, |_| {
-                black_box(MaskedDistanceCache::new(z.clone()).distances(&all));
-            })
-        }
-        Stage::GaMaskedPatch => {
-            let z = observations(def.size, 76);
-            let all: Vec<usize> = (0..64).collect();
-            let mut flipped = all.clone();
-            flipped.remove(3);
-            flipped.push(70);
-            let pool = WorkPool::new(threads);
-            let mut cache = MaskedDistanceCache::new(z);
-            let _ = cache.distances_with(&all, &pool);
-            let mut turn = false;
-            run_samples(batch, samples, move |_| {
-                // Alternate two masks two bits apart: every op patches.
-                turn = !turn;
-                black_box(cache.distances_with(if turn { &flipped } else { &all }, &pool));
-            })
-        }
-        Stage::GaSelect => {
-            let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
-            let cfg = PipelineConfig::fast().with_threads(threads);
-            let suite = profile_reference(&apps, &cfg);
-            let targets = vec![Arch::atom().scaled(PARK_SCALE)];
-            let ga = GaConfig {
-                population: 12,
-                generations: 4,
-                ..GaConfig::default()
-            };
-            run_samples(batch, samples, |_| {
-                black_box(select_features_ga(&suite, &targets, &ga, &cfg));
-            })
-        }
-        Stage::StorePublish => {
-            let root = bench_dir("publish");
-            let store = Store::open(&root).map_err(|e| format!("bench store: {e}"))?;
-            let payload = vec![0xA5u8; def.size];
-            let mut next_key = 0u64;
-            let out = run_samples(batch, samples, |_| {
-                // A fresh key every op: each publish frames, checksums
-                // and fsyncs a new object — no dedup short-circuit.
-                next_key += 1;
-                store
-                    .put(ArtifactKind::Response, &format!("bench-{next_key}"), &payload)
-                    .expect("bench store put");
-            });
-            let _ = std::fs::remove_dir_all(&root);
-            out
-        }
-        Stage::StoreReplay => {
-            let root = bench_dir("replay");
-            let store = Store::open(&root).map_err(|e| format!("bench store: {e}"))?;
-            let payload = vec![0x5Au8; def.size];
-            let keys: Vec<String> = (0..16).map(|i| format!("bench-{i}")).collect();
-            for k in &keys {
-                store
-                    .put(ArtifactKind::Response, k, &payload)
-                    .map_err(|e| format!("bench store seed: {e}"))?;
-            }
-            let out = run_samples(batch, samples, |i| {
-                let got = store
-                    .get(ArtifactKind::Response, &keys[(i % 16) as usize])
-                    .expect("bench store get");
-                black_box(got);
-            });
-            let _ = std::fs::remove_dir_all(&root);
-            out
-        }
-        Stage::TraceSpan => {
-            // A bounded buffer keeps the span loops from accumulating
-            // memory; eviction cost is part of the honest price. Under
-            // `--trace` the collector is already on — leave its
-            // capacity (and the user's spans) alone.
-            let was_on = fgbs_trace::enabled();
-            if !was_on {
-                fgbs_trace::set_capacity(8192);
-            }
-            let out = with_trace_enabled(|| {
-                run_samples(batch, samples, |i| {
-                    let mut s = fgbs_trace::span("bench.span");
-                    s.arg_u64("i", i);
-                })
-            });
-            if !was_on {
-                fgbs_trace::set_capacity(0);
-            }
-            out
-        }
-        Stage::FaultProbe => run_samples(batch, samples, |_| {
-            black_box(fgbs_fault::maybe_io("bench.probe")).ok();
-        }),
-        Stage::PipelineReduce => {
-            let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
-            let cfg = PipelineConfig::fast()
-                .with_k(KChoice::Fixed(4))
-                .with_threads(threads);
-            run_samples(batch, samples, |_| {
-                let suite = profile_reference(&apps, &cfg);
-                black_box(reduce_cached(&suite, &cfg, &MicroCache::new()));
-            })
-        }
-        Stage::PipelineReduceTraced => {
-            let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
-            let cfg = PipelineConfig::fast()
-                .with_k(KChoice::Fixed(4))
-                .with_threads(threads);
-            with_trace_enabled(|| {
-                with_flightrec_armed(false, || {
-                    run_samples(batch, samples, |_| {
-                        let suite = profile_reference(&apps, &cfg);
-                        black_box(reduce_cached(&suite, &cfg, &MicroCache::new()));
-                    })
-                })
-            })
-        }
-        Stage::PipelineReduceTracedArmed => {
-            let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
-            let cfg = PipelineConfig::fast()
-                .with_k(KChoice::Fixed(4))
-                .with_threads(threads);
-            with_trace_enabled(|| {
-                with_flightrec_armed(true, || {
-                    run_samples(batch, samples, |_| {
-                        let suite = profile_reference(&apps, &cfg);
-                        black_box(reduce_cached(&suite, &cfg, &MicroCache::new()));
-                    })
-                })
-            })
-        }
-        Stage::ObsFlightrecRecord => {
-            // The ring is bounded: a long batch overwrites the oldest
-            // slot, which is the honest steady-state cost. The explicit
-            // timestamp mirrors the span path (it reuses the span's end
-            // time instead of reading the clock twice).
-            with_flightrec_armed(true, || {
-                run_samples(batch, samples, |i| {
-                    fgbs_trace::flightrec::record_at(
-                        i,
-                        fgbs_trace::flightrec::EventKind::Note,
-                        "bench.obs",
-                        i,
-                    );
-                })
-            })
-        }
-        Stage::ObsHistRecord => {
-            let h = fgbs_trace::hist::Histogram::new();
-            run_samples(batch, samples, |i| {
-                h.record(i);
-            })
-        }
-        Stage::SnippetPack => {
-            let apps: Vec<_> = bigdata_suite(Class::Test)
-                .into_iter()
-                .take(def.size)
-                .collect();
-            let pool = WorkPool::new(threads);
-            run_samples(batch, samples, |_| {
-                let pack = build_pack("bench", "bigdata", "class=test", &apps, &pool)
-                    .expect("bench pack builds");
-                black_box(encode_pack(&pack));
-            })
-        }
-        Stage::SnippetUnpackVerify => {
-            let apps: Vec<_> = bigdata_suite(Class::Test)
-                .into_iter()
-                .take(def.size)
-                .collect();
-            let pool = WorkPool::new(threads);
-            let bytes = encode_pack(
-                &build_pack("bench", "bigdata", "class=test", &apps, &pool)
-                    .map_err(|e| format!("bench pack: {e}"))?,
-            );
-            run_samples(batch, samples, |_| {
-                black_box(verify_pack(&bytes).expect("bench pack verifies"));
-            })
-        }
-        Stage::SnippetReplay => {
-            let apps: Vec<_> = bigdata_suite(Class::Test)
-                .into_iter()
-                .take(def.size)
-                .collect();
-            let pool = WorkPool::new(threads);
-            let bytes = encode_pack(
-                &build_pack("bench", "bigdata", "class=test", &apps, &pool)
-                    .map_err(|e| format!("bench pack: {e}"))?,
-            );
-            let pack = parse_pack(&bytes).map_err(|e| format!("bench pack parse: {e}"))?;
-            run_samples(batch, samples, |_| {
-                let report = replay_pack(&pack, &pool).expect("bench replay runs");
-                assert!(report.all_ok(), "bench replay met its contract");
-                black_box(report);
-            })
-        }
-        Stage::ServeLoadEvent => serve_load(true, ServeStat::Mean, def.size, threads, samples)?,
-        Stage::ServeLoadBlocking => {
-            serve_load(false, ServeStat::Mean, def.size, threads, samples)?
-        }
-        Stage::ServeLoadEventP99 => serve_load(true, ServeStat::P99, def.size, threads, samples)?,
-        Stage::ServeLoadBlockingP99 => {
-            serve_load(false, ServeStat::P99, def.size, threads, samples)?
-        }
-        Stage::ServeLoadEventWall => serve_load(true, ServeStat::Wall, def.size, threads, samples)?,
-        Stage::ServeLoadBlockingWall => {
-            serve_load(false, ServeStat::Wall, def.size, threads, samples)?
-        }
-        Stage::SnippetInproc => {
-            // The replay gate's baseline: the same codelets and contexts
-            // executed straight from the in-process suite, no pack in
-            // between. `snippet/replay` must land within 5% of this.
-            let apps: Vec<_> = bigdata_suite(Class::Test)
-                .into_iter()
-                .take(def.size)
-                .collect();
-            let pool = WorkPool::new(threads);
-            run_samples(batch, samples, |_| {
-                for app in &apps {
-                    for ci in app.extractable() {
-                        black_box(
-                            snippet_digest(&app.codelets[ci], &app.contexts[ci], &pool)
-                                .expect("bench inproc digest"),
-                        );
-                    }
-                }
-            })
-        }
+    }))
+}
+
+/// GA fitness, cold: masked distances from scratch (64 of 76 bits).
+fn ga_masked_cold(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let z = observations(def.size, 76);
+    let all: Vec<usize> = (0..64).collect();
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(MaskedDistanceCache::new(z.clone()).distances(&all));
+    }))
+}
+
+/// GA fitness, incremental: patch 2 flipped feature bits.
+fn ga_masked_patch(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let z = observations(def.size, 76);
+    let all: Vec<usize> = (0..64).collect();
+    let mut flipped = all.clone();
+    flipped.remove(3);
+    flipped.push(70);
+    let pool = WorkPool::new(threads);
+    let mut cache = MaskedDistanceCache::new(z);
+    let _ = cache.distances_with(&all, &pool);
+    let mut turn = false;
+    Ok(run_samples(def.batch, samples, move |_| {
+        // Alternate two masks two bits apart: every op patches.
+        turn = !turn;
+        black_box(cache.distances_with(if turn { &flipped } else { &all }, &pool));
+    }))
+}
+
+/// Full GA feature selection on `size` Test-class NR codes.
+fn ga_select(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
+    let cfg = PipelineConfig::fast().with_threads(threads);
+    let suite = profile_reference(&apps, &cfg);
+    let targets = vec![Arch::atom().scaled(PARK_SCALE)];
+    let ga = GaConfig {
+        population: 12,
+        generations: 4,
+        ..GaConfig::default()
     };
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(select_features_ga(&suite, &targets, &ga, &cfg));
+    }))
+}
+
+/// Artifact store publish: one fsynced put of a `size`-byte payload.
+fn store_publish(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let root = bench_dir("publish");
+    let store = Store::open(&root).map_err(|e| format!("bench store: {e}"))?;
+    let payload = vec![0xA5u8; def.size];
+    let mut next_key = 0u64;
+    let out = run_samples(def.batch, samples, |_| {
+        // A fresh key every op: each publish frames, checksums and
+        // fsyncs a new object — no dedup short-circuit.
+        next_key += 1;
+        store
+            .put(ArtifactKind::Response, &format!("bench-{next_key}"), &payload)
+            .expect("bench store put");
+    });
+    let _ = std::fs::remove_dir_all(&root);
     Ok(out)
+}
+
+/// Artifact store replay: one get of a stored `size`-byte payload.
+fn store_replay(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let root = bench_dir("replay");
+    let store = Store::open(&root).map_err(|e| format!("bench store: {e}"))?;
+    let payload = vec![0x5Au8; def.size];
+    let keys: Vec<String> = (0..16).map(|i| format!("bench-{i}")).collect();
+    for k in &keys {
+        store
+            .put(ArtifactKind::Response, k, &payload)
+            .map_err(|e| format!("bench store seed: {e}"))?;
+    }
+    let out = run_samples(def.batch, samples, |i| {
+        let got = store
+            .get(ArtifactKind::Response, &keys[(i % 16) as usize])
+            .expect("bench store get");
+        black_box(got);
+    });
+    let _ = std::fs::remove_dir_all(&root);
+    Ok(out)
+}
+
+/// One enabled trace span with a u64 argument.
+fn trace_span(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    // A bounded buffer keeps the span loops from accumulating memory;
+    // eviction cost is part of the honest price. Under `--trace` the
+    // collector is already on — leave its capacity (and the user's
+    // spans) alone.
+    let was_on = fgbs_trace::enabled();
+    if !was_on {
+        fgbs_trace::set_capacity(8192);
+    }
+    let out = with_trace_enabled(|| {
+        run_samples(def.batch, samples, |i| {
+            let mut s = fgbs_trace::span("bench.span");
+            s.arg_u64("i", i);
+        })
+    });
+    if !was_on {
+        fgbs_trace::set_capacity(0);
+    }
+    Ok(out)
+}
+
+/// One disarmed failpoint probe (a single relaxed atomic load).
+fn fault_probe(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(fgbs_fault::maybe_io("bench.probe")).ok();
+    }))
+}
+
+/// One op of the full profile+reduce pipeline on `size` Test-class NR
+/// codes, its inputs built up front.
+fn nr_reduce_op(def: &BenchDef, threads: usize) -> impl FnMut(u64) {
+    let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
+    let cfg = PipelineConfig::fast()
+        .with_k(KChoice::Fixed(4))
+        .with_threads(threads);
+    move |_| {
+        let suite = profile_reference(&apps, &cfg);
+        black_box(reduce_cached(&suite, &cfg, &MicroCache::new()));
+    }
+}
+
+/// The profile+reduce pipeline, untraced.
+fn pipeline_reduce(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    Ok(run_samples(def.batch, samples, nr_reduce_op(def, threads)))
+}
+
+/// The same pipeline with the trace collector enabled (flight recorder
+/// explicitly disarmed: this isolates the span cost).
+fn pipeline_reduce_traced(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let op = nr_reduce_op(def, threads);
+    Ok(with_trace_enabled(|| {
+        with_flightrec_armed(false, || run_samples(def.batch, samples, op))
+    }))
+}
+
+/// The traced pipeline with the flight recorder armed — the full
+/// production observability posture.
+fn pipeline_reduce_traced_armed(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let op = nr_reduce_op(def, threads);
+    Ok(with_trace_enabled(|| {
+        with_flightrec_armed(true, || run_samples(def.batch, samples, op))
+    }))
+}
+
+/// One armed flight-recorder event (`record_at` into the ring).
+fn obs_flightrec_record(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    // The ring is bounded: a long batch overwrites the oldest slot,
+    // which is the honest steady-state cost. The explicit timestamp
+    // mirrors the span path (it reuses the span's end time instead of
+    // reading the clock twice).
+    Ok(with_flightrec_armed(true, || {
+        run_samples(def.batch, samples, |i| {
+            fgbs_trace::flightrec::record_at(
+                i,
+                fgbs_trace::flightrec::EventKind::Note,
+                "bench.obs",
+                i,
+            );
+        })
+    }))
+}
+
+/// One value recorded into a log-linear quantile histogram.
+fn obs_hist_record(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let h = fgbs_trace::hist::Histogram::new();
+    Ok(run_samples(def.batch, samples, |i| {
+        h.record(i);
+    }))
+}
+
+/// The first `n` Test-class bigdata apps.
+fn bigdata_apps(n: usize) -> Vec<Application> {
+    bigdata_suite(Class::Test).into_iter().take(n).collect()
+}
+
+/// `apps` built and encoded as a snippet pack.
+fn bigdata_pack(apps: &[Application], pool: &WorkPool) -> Result<Vec<u8>, String> {
+    let pack = build_pack("bench", "bigdata", "class=test", apps, pool)
+        .map_err(|e| format!("bench pack: {e}"))?;
+    Ok(encode_pack(&pack))
+}
+
+/// Build + encode a snippet pack from `size` bigdata apps.
+fn snippet_pack(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let apps = bigdata_apps(def.size);
+    let pool = WorkPool::new(threads);
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(bigdata_pack(&apps, &pool).expect("bench pack builds"));
+    }))
+}
+
+/// Parse + checksum + semantically validate an encoded pack.
+fn snippet_unpack_verify(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let bytes = bigdata_pack(&bigdata_apps(def.size), &WorkPool::new(threads))?;
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(verify_pack(&bytes).expect("bench pack verifies"));
+    }))
+}
+
+/// Replay a parsed pack against its bitwise contract.
+fn snippet_replay(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let pool = WorkPool::new(threads);
+    let bytes = bigdata_pack(&bigdata_apps(def.size), &pool)?;
+    let pack = parse_pack(&bytes).map_err(|e| format!("bench pack parse: {e}"))?;
+    Ok(run_samples(def.batch, samples, |_| {
+        let report = replay_pack(&pack, &pool).expect("bench replay runs");
+        assert!(report.all_ok(), "bench replay met its contract");
+        black_box(report);
+    }))
+}
+
+/// The replay gate's baseline: the same codelets and contexts executed
+/// straight from the in-process suite, no pack in between.
+/// `snippet/replay` must land within 5% of it.
+fn snippet_inproc(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    let apps = bigdata_apps(def.size);
+    let pool = WorkPool::new(threads);
+    Ok(run_samples(def.batch, samples, |_| {
+        for app in &apps {
+            for ci in app.extractable() {
+                black_box(
+                    snippet_digest(&app.codelets[ci], &app.contexts[ci], &pool)
+                        .expect("bench inproc digest"),
+                );
+            }
+        }
+    }))
+}
+
+/// Mean per-request latency of a keep-alive load run (`size`
+/// concurrent connections).
+fn serve_load_mean(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    serve_load(ServeStat::Mean, def.size, threads, samples)
+}
+
+/// p99 per-request latency of the same load run.
+fn serve_load_p99(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    serve_load(ServeStat::P99, def.size, threads, samples)
+}
+
+/// Wall-clock nanoseconds per completed request (inverse throughput)
+/// of the same load run.
+fn serve_load_wall(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+    serve_load(ServeStat::Wall, def.size, threads, samples)
+}
+
+/// One simulated invocation of a STREAM-style triad over `size`
+/// doubles per array on the scaled Nehalem: the simulator's own cost.
+fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let arch = Arch::nehalem().scaled(PARK_SCALE);
+    let codelet = CodeletBuilder::new("triad", "bench")
+        .array("a", Precision::F64)
+        .array("b", Precision::F64)
+        .array("c", Precision::F64)
+        .param_loop("n")
+        .store("c", &[1], |bd| bd.load("a", &[1]) * 2.0 + bd.load("b", &[1]))
+        .build();
+    let kernel = compile(&codelet, &arch.target(), CompileMode::InApp);
+    let n = def.size as u64;
+    let binding = BindingBuilder::new(0)
+        .vector(n, 8)
+        .vector(n, 8)
+        .vector(n, 8)
+        .param(n)
+        .build_for(&codelet);
+    let mut machine = Machine::new(arch);
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(machine.run(&kernel, &binding));
+    }))
 }
 
 /// A per-process scratch directory for store benchmarks.
@@ -409,42 +514,22 @@ enum ServeStat {
 /// `serve/*` row ids (keyed by connection count) stay comparable.
 const SERVE_REQUESTS_PER_CONN: usize = 8;
 
-/// One serve-load sample: spin up an in-process server (event loop or
-/// blocking thread-per-connection), drive `conns` concurrent clients
-/// through `fgbs_serve::loadgen`, and report the chosen statistic.
-/// Keep-alive follows the server mode: the event loop is measured with
-/// connection reuse (its strength), the blocking baseline with one
-/// connection per request (its natural gait).
-fn serve_load(
-    event_loop: bool,
-    stat: ServeStat,
-    conns: usize,
-    threads: usize,
-    samples: usize,
-) -> Result<Vec<f64>, String> {
-    let dir = bench_dir(if event_loop { "serve-event" } else { "serve-blocking" });
+/// One serve-load sample: spin up an in-process server, drive `conns`
+/// concurrent keep-alive clients through `fgbs_serve::loadgen`, and
+/// report the chosen statistic.
+fn serve_load(stat: ServeStat, conns: usize, threads: usize, samples: usize) -> Samples {
+    let dir = bench_dir("serve");
     let store =
         std::sync::Arc::new(Store::open(&dir).map_err(|e| format!("bench serve store: {e}"))?);
     let service = std::sync::Arc::new(Service::new(
         PipelineConfig::fast().with_threads(1),
         store,
     ));
-    let tuning = LoopOptions {
-        event_loop,
-        ..LoopOptions::default()
-    };
-    let server = Server::start_tuned(
-        "127.0.0.1:0",
-        threads,
-        service,
-        ServeOptions::default(),
-        tuning,
-    )
-    .map_err(|e| format!("bench serve bind: {e}"))?;
+    let server = Server::start("127.0.0.1:0", threads, service)
+        .map_err(|e| format!("bench serve bind: {e}"))?;
     let opts = loadgen::LoadOptions {
         conns,
         requests: SERVE_REQUESTS_PER_CONN,
-        keep_alive: event_loop,
         target: "/health".to_string(),
     };
     let _ = loadgen::run(server.addr(), &opts); // warm-up
@@ -476,7 +561,7 @@ mod tests {
     fn every_builtin_stage_produces_finite_samples() {
         for def in &Registry::builtin().benchmarks {
             // The O(n³) scan at n=1024 is too slow for a unit test.
-            if def.id.contains("n1024") || def.stage == Stage::GaSelect {
+            if def.id.contains("n1024") || def.stage == "ga_select" {
                 continue;
             }
             let mut small = def.clone();
@@ -490,6 +575,24 @@ mod tests {
             assert_eq!(samples.len(), 1);
             assert!(samples[0].is_finite() && samples[0] >= 0.0, "{}", def.id);
         }
+    }
+
+    /// One table, no dead entries: every workload backs at least one
+    /// built-in row, and every name is registered once.
+    #[test]
+    fn every_workload_backs_a_builtin_row() {
+        let reg = Registry::builtin();
+        for (i, (name, _)) in WORKLOADS.iter().enumerate() {
+            assert!(
+                reg.benchmarks.iter().any(|b| b.stage == *name),
+                "workload `{name}` has no built-in row"
+            );
+            assert!(
+                WORKLOADS[..i].iter().all(|(other, _)| other != name),
+                "workload `{name}` is registered twice"
+            );
+        }
+        assert!(workload("nope").is_none());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   [`WAKE_TOKEN`]; the poller drains the eventfd internally.
 //!
 //! On non-Linux targets [`Poller::new`] returns
-//! `ErrorKind::Unsupported` and the daemon falls back to its blocking
-//! accept loop.
+//! `ErrorKind::Unsupported`, and the daemon, which has no other loop,
+//! returns that error from `Server::start`.
 
 #![warn(missing_docs)]
 

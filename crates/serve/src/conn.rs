@@ -17,7 +17,7 @@ use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use crate::http::{self, Request, Response};
-use crate::{LoopOptions, ServeOptions};
+use crate::ServeOptions;
 
 /// Where a connection is in its request/response cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,12 +65,12 @@ pub(crate) struct Conn<S> {
     write_deadline: Option<Instant>,
     opts: ServeOptions,
     /// How many responses this connection may carry before the server
-    /// closes it ([`LoopOptions::max_requests_per_conn`]).
+    /// closes it ([`ServeOptions::max_requests_per_conn`]).
     budget: u32,
 }
 
 impl<S: Read + Write> Conn<S> {
-    pub(crate) fn new(stream: S, now: Instant, opts: ServeOptions, tuning: LoopOptions) -> Conn<S> {
+    pub(crate) fn new(stream: S, now: Instant, opts: ServeOptions) -> Conn<S> {
         Conn {
             stream,
             inbuf: Vec::new(),
@@ -85,7 +85,7 @@ impl<S: Read + Write> Conn<S> {
             read_deadline: Some(now + opts.read_timeout),
             write_deadline: None,
             opts,
-            budget: tuning.max_requests_per_conn.max(1),
+            budget: opts.max_requests_per_conn.max(1),
         }
     }
 
@@ -124,10 +124,13 @@ impl<S: Read + Write> Conn<S> {
         }
         let mut chunk = [0u8; 4096];
         loop {
-            // Stop slurping once a full frame is buffered: leftover
-            // pipelined bytes stay in the socket (TCP backpressure)
-            // until this request's response has drained.
-            if matches!(http::try_parse(&self.inbuf, self.opts.max_body), Ok(Some(_))) {
+            // Read only while the buffer holds an incomplete frame. Once
+            // a full frame is buffered, leftover pipelined bytes stay in
+            // the socket (TCP backpressure) until this request's response
+            // has drained; once the frame is known to be bad (oversized
+            // head or body, malformed head), nothing more is worth
+            // buffering before the error response.
+            if !matches!(http::try_parse(&self.inbuf, self.opts.max_body), Ok(None)) {
                 break;
             }
             match self.stream.read(&mut chunk) {
@@ -349,7 +352,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
 
         let step = conn.on_readable(now);
         let Step::Dispatch(req) = step else {
@@ -374,7 +377,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\nConnection: close\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -392,7 +395,7 @@ mod tests {
         mock.readable.push_back(
             b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n".to_vec(),
         );
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(req) = conn.on_readable(now) else {
             panic!("expected first dispatch");
         };
@@ -409,14 +412,14 @@ mod tests {
     #[test]
     fn budget_exhaustion_closes_with_the_last_response() {
         let now = Instant::now();
-        let tuning = LoopOptions {
+        let budget = ServeOptions {
             max_requests_per_conn: 1,
-            ..LoopOptions::default()
+            ..opts()
         };
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), tuning);
+        let mut conn = Conn::new(mock, now, budget);
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -433,7 +436,7 @@ mod tests {
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\n\r\n".to_vec());
         mock.write_cap = Some(10); // stall after 10 bytes of the frame
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -471,7 +474,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut conn = Conn::new(Broken(0), now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(Broken(0), now, opts());
         conn.state = State::Dispatched;
         conn.on_response(Response::json(&crate::Json::Bool(true)), now);
         assert!(matches!(conn.on_writable(now), Step::Close));
@@ -483,7 +486,7 @@ mod tests {
         let now = Instant::now();
         let mut mock = Mock::default();
         mock.readable.push_back(b"GET /health HT".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Wait));
         assert!(matches!(conn.on_tick(now + Duration::from_millis(50)), Step::Wait));
         // Past the read deadline with a partial frame: tell the client.
@@ -501,7 +504,7 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable
             .push_back(b"GET /health HTTP/1.1\r\n\r\n".to_vec());
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         let Step::Dispatch(_) = conn.on_readable(now) else {
             panic!("expected dispatch");
         };
@@ -519,13 +522,25 @@ mod tests {
         let mut mock = Mock::default();
         mock.readable.push_back(b"GET /health HT".to_vec());
         mock.eof_after_reads = true;
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Wait));
         assert_eq!(conn.state(), State::Writing);
         assert!(matches!(conn.on_writable(now), Step::Close));
         let text = String::from_utf8(conn.stream().wrote.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
         assert!(text.contains("mid-request"), "{text}");
+
+        // A complete head whose declared body never fully arrives.
+        let mut mock = Mock::default();
+        mock.readable
+            .push_back(b"POST /reduce HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc".to_vec());
+        mock.eof_after_reads = true;
+        let mut conn = Conn::new(mock, now, opts());
+        assert!(matches!(conn.on_readable(now), Step::Wait));
+        assert!(matches!(conn.on_writable(now), Step::Close));
+        let text = String::from_utf8(conn.stream().wrote.clone()).unwrap();
+        assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+        assert!(text.contains("mid-body"), "{text}");
     }
 
     #[test]
@@ -535,7 +550,7 @@ mod tests {
             eof_after_reads: true,
             ..Mock::default()
         };
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Close));
         assert!(conn.stream().wrote.is_empty());
     }
@@ -547,11 +562,56 @@ mod tests {
         mock.readable.push_back(
             b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!".to_vec(),
         );
-        let mut conn = Conn::new(mock, now, opts(), LoopOptions::default());
+        let mut conn = Conn::new(mock, now, opts());
         assert!(matches!(conn.on_readable(now), Step::Wait));
         assert!(matches!(conn.on_writable(now), Step::Close));
         let text = String::from_utf8(conn.stream().wrote.clone()).unwrap();
         assert!(text.starts_with("HTTP/1.1 400"), "{text}");
         assert!(text.contains("conflicting content-length"), "{text}");
+    }
+
+    /// A request line and the start of a header, then `chunks` reads of
+    /// 4 KiB header filler, then `tail` (if any) as one more read.
+    fn chunked_head(chunks: usize, tail: &[u8]) -> Mock {
+        let mut mock = Mock::default();
+        mock.readable.push_back(b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec());
+        for _ in 0..chunks {
+            mock.readable.push_back(vec![b'a'; 4096]);
+        }
+        if !tail.is_empty() {
+            mock.readable.push_back(tail.to_vec());
+        }
+        mock
+    }
+
+    #[test]
+    fn unterminated_head_stops_reading_once_past_max_head() {
+        let now = Instant::now();
+        let mut conn = Conn::new(chunked_head(64, b""), now, opts());
+        assert!(matches!(conn.on_readable(now), Step::Wait));
+        // Reading stopped within one chunk of the limit instead of
+        // buffering all 256 KiB the client sent.
+        assert!(conn.inbuf.len() <= http::MAX_HEAD + 4096, "{}", conn.inbuf.len());
+        assert!(!conn.stream().readable.is_empty(), "the rest stays unread");
+        assert!(matches!(conn.on_writable(now), Step::Close));
+        let text = String::from_utf8(conn.stream().wrote.clone()).unwrap();
+        assert!(text.starts_with("HTTP/1.1 413"), "{text}");
+    }
+
+    #[test]
+    fn head_completed_past_max_head_is_refused_not_dispatched() {
+        let now = Instant::now();
+        // 15 full chunks stay under the limit; the terminator arrives in
+        // the 16th, which carries the head past it.
+        let mut tail = vec![b'a'; 4092];
+        tail.extend_from_slice(b"\r\n\r\n");
+        let mut conn = Conn::new(chunked_head(15, &tail), now, opts());
+        let step = conn.on_readable(now);
+        assert!(matches!(step, Step::Wait), "{step:?}");
+        assert!(conn.inbuf.len() > http::MAX_HEAD);
+        assert!(matches!(conn.on_writable(now), Step::Close));
+        let text = String::from_utf8(conn.stream().wrote.clone()).unwrap();
+        assert!(text.starts_with("HTTP/1.1 413"), "{text}");
+        assert!(text.contains("request head of"), "{text}");
     }
 }

@@ -1,8 +1,8 @@
-//! The readiness-driven serve loop (Linux).
+//! The readiness-driven serve loop (Linux: the reactor polls with epoll).
 //!
 //! One reactor thread owns the listener, every connection's
 //! [`Conn`] state machine, and an epoll [`Poller`]; request handling
-//! runs on the [`Executor`] as before. The cycle per reactor turn:
+//! runs on the [`Executor`]. The cycle per reactor turn:
 //!
 //! 1. `wait` for readiness (or the nearest connection deadline).
 //! 2. Accept new connections; pump readable/writable connections
@@ -37,7 +37,7 @@ use parking_lot::Mutex;
 
 use crate::conn::{Conn, State, Step};
 use crate::http::{Request, Response};
-use crate::{guarded_handle, LoopOptions, ServeOptions, Service};
+use crate::{ServeOptions, Service};
 
 const LISTENER_TOKEN: u64 = 0;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -49,15 +49,12 @@ pub(crate) struct Handle {
     pub(crate) thread: JoinHandle<()>,
 }
 
-/// Start the reactor thread over `listener`. Fails with
-/// `ErrorKind::Unsupported` where epoll is unavailable — the caller
-/// falls back to the blocking accept loop.
+/// Start the reactor thread over `listener`.
 pub(crate) fn spawn(
     listener: TcpListener,
     threads: usize,
     service: Arc<Service>,
     opts: ServeOptions,
-    tuning: LoopOptions,
     shutdown: Arc<AtomicBool>,
 ) -> io::Result<Handle> {
     let poller = Poller::new()?;
@@ -74,7 +71,6 @@ pub(crate) fn spawn(
         waker: waker.clone(),
         service,
         opts,
-        tuning,
         shutdown,
     };
     let thread = std::thread::Builder::new()
@@ -98,7 +94,6 @@ struct Loop {
     waker: Waker,
     service: Arc<Service>,
     opts: ServeOptions,
-    tuning: LoopOptions,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -152,7 +147,7 @@ impl Loop {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    if let Some(bytes) = self.tuning.sndbuf {
+                    if let Some(bytes) = self.opts.sndbuf {
                         let _ = fgbs_reactor::set_send_buffer(stream.as_raw_fd(), bytes);
                     }
                     let token = self.next_token;
@@ -167,7 +162,7 @@ impl Loop {
                     self.conns.insert(
                         token,
                         Registered {
-                            conn: Conn::new(stream, now, self.opts, self.tuning),
+                            conn: Conn::new(stream, now, self.opts),
                             interest: Interest::READABLE,
                         },
                     );
@@ -379,4 +374,19 @@ impl Loop {
             let _ = poller.deregister(reg.conn.stream().as_raw_fd());
         }
     }
+}
+
+/// Dispatch into the service with a panic firewall: a handler bug takes
+/// down one request (500 with a JSON body), never the worker thread.
+fn guarded_handle(service: &Service, request: &Request) -> Response {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.handle(request)))
+        .unwrap_or_else(|_| {
+            fgbs_trace::stat("serve.panics", 1);
+            // The handler's RequestGuard unwound with it, so read the id
+            // back from the global cursor is impossible — dump with the
+            // ambient id (0 outside a request) and let the event window
+            // carry the story.
+            fgbs_trace::flightrec::trigger("panic", fgbs_trace::current_request_id());
+            Response::error(500, "internal error: handler panicked")
+        })
 }

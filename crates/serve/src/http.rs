@@ -1,4 +1,4 @@
-//! Minimal HTTP/1.1 over `std::io` streams and byte buffers.
+//! Minimal HTTP/1.1 over byte buffers.
 //!
 //! The service speaks just enough HTTP for its JSON endpoints: request
 //! line + headers + optional `Content-Length` body in, status line +
@@ -7,25 +7,21 @@
 //! keep-alive by default: [`try_parse`] consumes one request at a time
 //! out of a growing connection buffer (the event loop's pipelining
 //! primitive), and [`Response::render`] emits either
-//! `connection: keep-alive` or `connection: close`. The blocking
-//! [`read_request_limited`] wrapper and one-shot `write_to` remain for
-//! the fallback path and tests.
-
-use std::io::{self, Read, Write};
+//! `connection: keep-alive` or `connection: close`.
 
 use fgbs_trace::Json;
 
-/// Largest accepted request head (request line + headers).
-const MAX_HEAD: usize = 64 * 1024;
+/// Largest accepted request head (request line + headers + the blank
+/// line that ends them).
+pub(crate) const MAX_HEAD: usize = 64 * 1024;
 /// Default largest accepted request body; servers override it per
 /// instance via [`crate::ServeOptions::max_body`].
 pub const DEFAULT_MAX_BODY: usize = 1024 * 1024;
 
 /// Why a request could not be parsed, carrying enough structure for the
-/// connection worker to pick the right status code: oversize payloads
-/// are the *client's* fault and deserve `413`, a socket timeout while
-/// waiting for bytes is `408`, and everything else is a plain `400`.
-#[derive(Debug)]
+/// connection to pick the right status code: oversize payloads are the
+/// *client's* fault and deserve `413`, a malformed head is a plain `400`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RequestError {
     /// The head or declared body exceeded the configured limit.
     TooLarge {
@@ -36,8 +32,8 @@ pub enum RequestError {
         /// The limit it exceeded.
         limit: usize,
     },
-    /// An I/O or parse failure from the underlying stream.
-    Io(io::Error),
+    /// The head is not a well-formed request.
+    Malformed(&'static str),
 }
 
 impl RequestError {
@@ -45,10 +41,7 @@ impl RequestError {
     pub fn status(&self) -> u16 {
         match self {
             RequestError::TooLarge { .. } => 413,
-            RequestError::Io(e) => match e.kind() {
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => 408,
-                _ => 400,
-            },
+            RequestError::Malformed(_) => 400,
         }
     }
 }
@@ -59,22 +52,12 @@ impl std::fmt::Display for RequestError {
             RequestError::TooLarge { what, len, limit } => {
                 write!(f, "request {what} of {len} bytes exceeds the {limit}-byte limit")
             }
-            RequestError::Io(e) => write!(f, "{e}"),
+            RequestError::Malformed(why) => f.write_str(why),
         }
     }
 }
 
 impl std::error::Error for RequestError {}
-
-impl From<io::Error> for RequestError {
-    fn from(e: io::Error) -> RequestError {
-        RequestError::Io(e)
-    }
-}
-
-fn malformed(message: &str) -> RequestError {
-    RequestError::Io(io::Error::new(io::ErrorKind::InvalidData, message))
-}
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,45 +125,6 @@ pub fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Read and parse one request from `stream` with the default body
-/// limit. Convenience wrapper over [`read_request_limited`] collapsing
-/// the typed error back into `io::Error` for callers that don't pick
-/// status codes.
-pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
-    read_request_limited(stream, DEFAULT_MAX_BODY).map_err(|e| match e {
-        RequestError::Io(err) => err,
-        too_large => io::Error::new(io::ErrorKind::InvalidData, too_large.to_string()),
-    })
-}
-
-/// Read and parse one request from `stream`, rejecting bodies larger
-/// than `max_body` bytes with [`RequestError::TooLarge`] (HTTP 413).
-pub fn read_request_limited(
-    stream: &mut impl Read,
-    max_body: usize,
-) -> Result<Request, RequestError> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(parsed) = try_parse(&buf, max_body)? {
-            return Ok(parsed.request);
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            let what = if find_head_end(&buf).is_some() {
-                "connection closed mid-body"
-            } else {
-                "connection closed mid-request"
-            };
-            return Err(RequestError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                what,
-            )));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// One request carved out of a connection buffer by [`try_parse`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Parsed {
@@ -201,31 +145,34 @@ pub struct Parsed {
 /// present, and an error as soon as one is *knowable*: an oversized or
 /// conflicting head fails without waiting for the body to arrive.
 pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestError> {
-    let head_end = match find_head_end(buf) {
-        Some(pos) => pos,
-        None => {
-            if buf.len() > MAX_HEAD {
-                return Err(RequestError::TooLarge {
-                    what: "head",
-                    len: buf.len(),
-                    limit: MAX_HEAD,
-                });
-            }
-            return Ok(None);
-        }
+    let head_end = find_head_end(buf);
+    // The limit binds complete heads too: a terminator that arrives in
+    // the chunk crossing `MAX_HEAD` does not make the head acceptable.
+    let head_len = head_end.map_or(buf.len(), |pos| pos + 4);
+    if head_len > MAX_HEAD {
+        return Err(RequestError::TooLarge {
+            what: "head",
+            len: head_len,
+            limit: MAX_HEAD,
+        });
+    }
+    let Some(head_end) = head_end else {
+        return Ok(None);
     };
 
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or_else(|| malformed("empty request"))?;
+    let request_line = lines
+        .next()
+        .ok_or(RequestError::Malformed("empty request"))?;
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| malformed("missing method"))?
+        .ok_or(RequestError::Malformed("missing method"))?
         .to_ascii_uppercase();
     let uri = parts
         .next()
-        .ok_or_else(|| malformed("missing request target"))?;
+        .ok_or(RequestError::Malformed("missing request target"))?;
     let http10 = parts.next() == Some("HTTP/1.0");
 
     // Duplicate `Content-Length` headers with different values are a
@@ -240,10 +187,12 @@ pub fn try_parse(buf: &[u8], max_body: usize) -> Result<Option<Parsed>, RequestE
                 let parsed = value
                     .trim()
                     .parse()
-                    .map_err(|_| malformed("bad content-length"))?;
+                    .map_err(|_| RequestError::Malformed("bad content-length"))?;
                 match content_length {
                     Some(prev) if prev != parsed => {
-                        return Err(malformed("conflicting content-length headers"));
+                        return Err(RequestError::Malformed(
+                            "conflicting content-length headers",
+                        ));
                     }
                     _ => content_length = Some(parsed),
                 }
@@ -390,8 +339,7 @@ impl Response {
 
     /// Serialise status line, headers and body into one frame. The
     /// `connection` header advertises whether the server will keep the
-    /// connection open afterwards — the event loop decides per
-    /// connection, the blocking path always closes.
+    /// connection open afterwards; each connection decides per response.
     pub fn render(&self, keep_alive: bool) -> Vec<u8> {
         use std::io::Write as _;
         let mut out = Vec::with_capacity(self.body.len() + 160);
@@ -414,22 +362,27 @@ impl Response {
         out.extend_from_slice(&self.body);
         out
     }
-
-    /// Serialise one close-delimited frame onto `w` (blocking path).
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.render(false))?;
-        w.flush()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parse one complete frame with the default body limit.
+    fn parse(raw: &[u8]) -> Request {
+        try_parse(raw, DEFAULT_MAX_BODY)
+            .expect("well-formed")
+            .expect("complete")
+            .request
+    }
+
+    fn text(response: &Response) -> String {
+        String::from_utf8(response.render(false)).unwrap()
+    }
+
     #[test]
     fn parses_get_with_query() {
-        let raw = b"GET /predict?suite=nr&target=atom&k=8 HTTP/1.1\r\nHost: x\r\n\r\n";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = parse(b"GET /predict?suite=nr&target=atom&k=8 HTTP/1.1\r\nHost: x\r\n\r\n");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/predict");
         assert_eq!(req.param("suite"), Some("nr"));
@@ -440,8 +393,7 @@ mod tests {
 
     #[test]
     fn parses_post_with_body() {
-        let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        let req = read_request(&mut &raw[..]).unwrap();
+        let req = parse(b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello");
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"hello");
     }
@@ -455,39 +407,26 @@ mod tests {
     }
 
     #[test]
-    fn truncated_requests_error() {
+    fn truncated_requests_wait_for_more_bytes() {
+        // Mid-head and mid-body: neither is a request yet. The
+        // connection answers 400 only if the peer hangs up here.
         let raw = b"GET /x HTTP/1.1\r\nConten";
-        assert!(read_request(&mut &raw[..]).is_err());
+        assert_eq!(try_parse(raw, DEFAULT_MAX_BODY).unwrap(), None);
         let raw = b"POST /x HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-        assert!(read_request(&mut &raw[..]).is_err());
+        assert_eq!(try_parse(raw, DEFAULT_MAX_BODY).unwrap(), None);
     }
 
     #[test]
-    fn oversize_bodies_map_to_413() {
-        let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
-        let err = read_request_limited(&mut &raw[..], 64).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.to_string().contains("100 bytes exceeds the 64-byte limit"), "{err}");
-        // Within the limit the same request parses (body read to EOF fails
-        // later, so give it the declared bytes).
-        let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
-        assert!(read_request_limited(&mut &raw[..], 64).is_ok());
-    }
-
-    #[test]
-    fn timeouts_map_to_408_and_parse_failures_to_400() {
-        struct Stalled;
-        impl Read for Stalled {
-            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
-                Err(io::Error::new(io::ErrorKind::WouldBlock, "stalled"))
-            }
+    fn parse_failures_map_to_400() {
+        for (raw, why) in [
+            (&b"\r\n\r\n"[..], "missing method"),
+            (b"GET\r\n\r\n", "missing request target"),
+            (b"POST /x HTTP/1.1\r\nContent-Length: five\r\n\r\n", "bad content-length"),
+        ] {
+            let err = try_parse(raw, 1024).unwrap_err();
+            assert_eq!(err.status(), 400, "{why}");
+            assert_eq!(err.to_string(), why);
         }
-        let err = read_request_limited(&mut Stalled, 1024).unwrap_err();
-        assert_eq!(err.status(), 408);
-
-        let raw = b"\r\n\r\n";
-        let err = read_request_limited(&mut &raw[..], 1024).unwrap_err();
-        assert_eq!(err.status(), 400);
     }
 
     #[test]
@@ -497,21 +436,14 @@ mod tests {
             (413, "Payload Too Large"),
             (503, "Service Unavailable"),
         ] {
-            let mut out = Vec::new();
-            Response::error(status, "x").write_to(&mut out).unwrap();
-            let text = String::from_utf8(out).unwrap();
+            let text = text(&Response::error(status, "x"));
             assert!(text.starts_with(&format!("HTTP/1.1 {status} {reason}\r\n")), "{text}");
         }
     }
 
     #[test]
     fn response_serialises_with_source_header() {
-        let mut out = Vec::new();
-        Response::json(&Json::U64(7))
-            .with_source("store")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = text(&Response::json(&Json::U64(7)).with_source("store"));
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("x-fgbs-source: store\r\n"));
         assert!(text.ends_with("\r\n\r\n7"));
@@ -526,18 +458,10 @@ mod tests {
 
     #[test]
     fn request_id_header_appears_only_when_stamped() {
-        let mut out = Vec::new();
-        Response::json(&Json::U64(7))
-            .with_request_id(42)
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("x-fgbs-request-id: 42\r\n"), "{text}");
-
-        let mut out = Vec::new();
-        Response::json(&Json::U64(7)).write_to(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(!text.contains("x-fgbs-request-id"), "{text}");
+        let stamped = text(&Response::json(&Json::U64(7)).with_request_id(42));
+        assert!(stamped.contains("x-fgbs-request-id: 42\r\n"), "{stamped}");
+        let plain = text(&Response::json(&Json::U64(7)));
+        assert!(!plain.contains("x-fgbs-request-id"), "{plain}");
     }
 
     #[test]
@@ -575,8 +499,6 @@ mod tests {
         let err = try_parse(raw, 1024).unwrap_err();
         assert_eq!(err.status(), 400);
         assert!(err.to_string().contains("conflicting content-length"), "{err}");
-        // The blocking reader surfaces the same rejection.
-        assert!(read_request_limited(&mut &raw[..], 1024).is_err());
         // Identical repeats are harmless and accepted.
         let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello";
         let parsed = try_parse(raw, 1024).unwrap().unwrap();
@@ -588,26 +510,42 @@ mod tests {
         let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 100\r\n\r\n";
         let err = try_parse(raw, 64).unwrap_err();
         assert_eq!(err.status(), 413);
+        assert!(err.to_string().contains("100 bytes exceeds the 64-byte limit"), "{err}");
+        // Within the limit the same request parses.
+        let raw = b"POST /reduce HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
+        assert!(try_parse(raw, 64).unwrap().is_some());
+    }
+
+    #[test]
+    fn heads_longer_than_max_head_get_413_complete_or_not() {
+        let head = |filler: usize| {
+            format!("GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(filler)).into_bytes()
+        };
+        // The longest acceptable head parses…
+        let at_limit = head(MAX_HEAD - head(0).len());
+        assert_eq!(at_limit.len(), MAX_HEAD);
+        assert!(try_parse(&at_limit, 1024).unwrap().is_some());
+        // …one byte more is refused, terminator or not.
+        let over = head(MAX_HEAD - head(0).len() + 1);
+        let err = try_parse(&over, 1024).unwrap_err();
+        assert_eq!(err.status(), 413);
+        assert!(err.to_string().starts_with("request head of 65537 bytes"), "{err}");
+        assert_eq!(try_parse(&[b'a'; MAX_HEAD], 1024).unwrap(), None);
+        let unterminated = try_parse(&[b'a'; MAX_HEAD + 1], 1024).unwrap_err();
+        assert_eq!(unterminated.status(), 413);
     }
 
     #[test]
     fn render_advertises_the_connection_decision() {
         let keep = String::from_utf8(Response::json(&Json::U64(7)).render(true)).unwrap();
         assert!(keep.contains("connection: keep-alive\r\n"), "{keep}");
-        let close = String::from_utf8(Response::json(&Json::U64(7)).render(false)).unwrap();
+        let close = text(&Response::json(&Json::U64(7)));
         assert!(close.contains("connection: close\r\n"), "{close}");
-        let mut via_write = Vec::new();
-        Response::json(&Json::U64(7)).write_to(&mut via_write).unwrap();
-        assert_eq!(via_write, close.as_bytes(), "write_to is render(false)");
     }
 
     #[test]
     fn text_responses_override_the_content_type() {
-        let mut out = Vec::new();
-        Response::text("metric 1\n".to_string())
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = text(&Response::text("metric 1\n".to_string()));
         assert!(
             text.contains("content-type: text/plain; version=0.0.4\r\n"),
             "{text}"

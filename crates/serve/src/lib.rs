@@ -2,14 +2,12 @@
 //! pipeline.
 //!
 //! The daemon speaks minimal HTTP/1.1 + JSON over
-//! [`std::net::TcpListener`]. On Linux it runs a readiness-driven
-//! event loop (`fgbs-reactor` over epoll) with per-connection state
-//! machines: HTTP/1.1 keep-alive and pipelining, per-connection request
-//! budgets, admission-controlled load shedding, and cross-key request
-//! batching onto a shared [`fgbs_pool::WorkPool`] pass. Elsewhere (or
-//! with [`LoopOptions::event_loop`] off) it falls back to a blocking
-//! accept loop dispatching one-shot connections onto a fixed-size
-//! [`fgbs_pool::Executor`]. Endpoints:
+//! [`std::net::TcpListener`], driven by a readiness-driven event loop
+//! (`fgbs-reactor` over epoll, so the server runs on Linux only) with
+//! per-connection state machines: HTTP/1.1 keep-alive and pipelining,
+//! per-connection request budgets, admission-controlled load shedding,
+//! and cross-key request batching onto a shared
+//! [`fgbs_pool::WorkPool`] pass. Endpoints:
 //!
 //! | endpoint         | purpose                                        |
 //! |------------------|------------------------------------------------|
@@ -39,13 +37,11 @@
 #![warn(missing_docs)]
 
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use fgbs_pool::Executor;
 
 mod conn;
 #[cfg(target_os = "linux")]
@@ -56,49 +52,26 @@ mod metrics;
 mod service;
 
 pub use fgbs_trace::Json;
-pub use http::{
-    parse_query, read_request, read_request_limited, try_parse, Parsed, Request, RequestError,
-    Response, DEFAULT_MAX_BODY,
-};
+pub use http::{parse_query, try_parse, Parsed, Request, RequestError, Response, DEFAULT_MAX_BODY};
 pub use metrics::{Metrics, N_BUCKETS, SERIES};
 pub use service::{install_diagnostic_sink, Service};
 
-/// Tunable per-connection behaviour: socket timeouts and request-size
-/// limits. [`Server::start`] uses [`ServeOptions::default`]; tests and
-/// hardened deployments pass their own via [`Server::start_with`].
+/// Tunable per-connection behaviour: deadlines, request-size limits and
+/// keep-alive budget. [`Server::start`] uses [`ServeOptions::default`];
+/// tests and hardened deployments pass their own via
+/// [`Server::start_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// How long a connection worker waits for request bytes before
-    /// answering `408` to a stalled client.
+    /// How long a connection may take to deliver a request before the
+    /// server answers `408` (an idle keep-alive connection is closed
+    /// silently instead).
     pub read_timeout: Duration,
-    /// How long a blocked response write may stall before the worker
-    /// abandons the connection (a client that stops reading cannot
-    /// wedge a worker forever).
+    /// How long a response write may stall before the server poisons
+    /// and drops the connection (a client that stops reading cannot
+    /// pin server state forever).
     pub write_timeout: Duration,
     /// Largest accepted request body; larger declared bodies get `413`.
     pub max_body: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            max_body: DEFAULT_MAX_BODY,
-        }
-    }
-}
-
-/// Event-loop tuning, kept separate from [`ServeOptions`] so that
-/// struct stays literally constructible in existing callers. Defaults
-/// apply under [`Server::start`] and [`Server::start_with`]; pass your
-/// own via [`Server::start_tuned`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoopOptions {
-    /// Use the readiness-driven event loop (keep-alive, pipelining,
-    /// batching, admission control) when the platform supports it;
-    /// `false` forces the blocking one-request-per-connection path.
-    pub event_loop: bool,
     /// How many requests one keep-alive connection may carry before the
     /// server closes it (`connection: close` on the last response); a
     /// rebalancing guard against permanently-pinned connections.
@@ -109,131 +82,68 @@ pub struct LoopOptions {
     pub sndbuf: Option<usize>,
 }
 
-impl Default for LoopOptions {
-    fn default() -> LoopOptions {
-        LoopOptions {
-            event_loop: true,
+impl Default for ServeOptions {
+    fn default() -> ServeOptions {
+        ServeOptions {
+            read_timeout: Duration::from_secs(10),
+            write_timeout: Duration::from_secs(10),
+            max_body: DEFAULT_MAX_BODY,
             max_requests_per_conn: 256,
             sndbuf: None,
         }
     }
 }
 
-/// A running server: a bound listener, a reactor (or accept) thread,
-/// and a worker pool draining requests. Dropping the server shuts it
-/// down and joins every thread.
+/// A running server: a bound listener, a reactor thread, and a worker
+/// pool draining requests. Dropping the server shuts it down and joins
+/// every thread.
 #[derive(Debug)]
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// The event loop's wake fd — the explicit shutdown signal. `None`
-    /// on the blocking path, which polls the flag instead; neither
-    /// relies on the old self-connect poke (which could race, or
-    /// silently fail on wildcard/IPv6 binds).
-    wake: Option<fgbs_reactor::Waker>,
-    accept: Option<JoinHandle<()>>,
+    /// The event loop's wake fd: the explicit shutdown signal.
+    wake: fgbs_reactor::Waker,
+    reactor: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:8422`; port 0 picks a free port) and
-    /// serve `service` on `threads` connection workers (0 = one per
-    /// core) with default timeouts and limits.
+    /// serve `service` on `threads` request workers (0 = one per core)
+    /// with default timeouts and limits.
     pub fn start(addr: &str, threads: usize, service: Arc<Service>) -> io::Result<Server> {
         Server::start_with(addr, threads, service, ServeOptions::default())
     }
 
-    /// [`Server::start`] with explicit timeouts and request limits and
-    /// default [`LoopOptions`].
+    /// [`Server::start`] with explicit timeouts, limits and budget.
+    #[cfg(target_os = "linux")]
     pub fn start_with(
         addr: &str,
         threads: usize,
         service: Arc<Service>,
         opts: ServeOptions,
     ) -> io::Result<Server> {
-        Server::start_tuned(addr, threads, service, opts, LoopOptions::default())
+        let listener = std::net::TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handle = event::spawn(listener, threads, service, opts, Arc::clone(&shutdown))?;
+        Ok(Server {
+            addr,
+            shutdown,
+            wake: handle.waker,
+            reactor: Some(handle.thread),
+        })
     }
 
-    /// [`Server::start_with`] plus explicit event-loop tuning.
-    ///
-    /// Prefers the event-driven loop (epoll reactor); where that is
-    /// unsupported — or disabled via [`LoopOptions::event_loop`] — it
-    /// falls back to a blocking accept loop with a non-blocking
-    /// listener polled against the shutdown flag.
-    pub fn start_tuned(
-        addr: &str,
-        threads: usize,
-        service: Arc<Service>,
-        opts: ServeOptions,
-        tuning: LoopOptions,
+    /// The reactor only polls on Linux; elsewhere serving fails with
+    /// its `ErrorKind::Unsupported` error.
+    #[cfg(not(target_os = "linux"))]
+    pub fn start_with(
+        _addr: &str,
+        _threads: usize,
+        _service: Arc<Service>,
+        _opts: ServeOptions,
     ) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        #[cfg(not(target_os = "linux"))]
-        let _ = tuning;
-
-        #[cfg(target_os = "linux")]
-        if tuning.event_loop {
-            if let Ok(dup) = listener.try_clone() {
-                if let Ok(handle) = event::spawn(
-                    dup,
-                    threads,
-                    Arc::clone(&service),
-                    opts,
-                    tuning,
-                    Arc::clone(&shutdown),
-                ) {
-                    return Ok(Server {
-                        addr: local,
-                        shutdown,
-                        wake: Some(handle.waker),
-                        accept: Some(handle.thread),
-                    });
-                }
-            }
-        }
-
-        // Blocking fallback: one request per connection on executor
-        // workers. The listener is non-blocking so the accept loop can
-        // observe the shutdown flag without being poked.
-        listener.set_nonblocking(true)?;
-        let flag = Arc::clone(&shutdown);
-        let accept = std::thread::Builder::new()
-            .name("fgbs-accept".to_string())
-            .spawn(move || {
-                let exec = Executor::new(threads);
-                loop {
-                    if flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Chaos failpoint: a `delay` rule stalls the
-                            // accept loop, simulating backpressure.
-                            fgbs_fault::maybe_delay("serve.accept");
-                            // Accepted sockets must block: the workers
-                            // use plain timed reads/writes.
-                            if stream.set_nonblocking(false).is_err() {
-                                continue;
-                            }
-                            let svc = Arc::clone(&service);
-                            exec.submit(move || handle_connection(stream, &svc, opts));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-                // `exec` drops here: the queue drains and workers join,
-                // so in-flight responses finish before shutdown returns.
-            })?;
-        Ok(Server {
-            addr: local,
-            shutdown,
-            wake: None,
-            accept: Some(accept),
-        })
+        fgbs_reactor::Poller::new().map(|_| unreachable!("the reactor polls only on Linux"))
     }
 
     /// The address the server actually bound (resolves port 0).
@@ -247,16 +157,12 @@ impl Server {
     }
 
     fn stop(&mut self) {
-        let Some(handle) = self.accept.take() else {
+        let Some(handle) = self.reactor.take() else {
             return;
         };
         self.shutdown.store(true, Ordering::Release);
-        // The event loop blocks in `wait()`: signal its wake fd. The
-        // blocking fallback polls the flag on a short cadence, so
-        // neither path needs (racy) self-connect trickery.
-        if let Some(waker) = &self.wake {
-            let _ = waker.wake();
-        }
+        // The event loop blocks in `wait()` until its wake fd fires.
+        let _ = self.wake.wake();
         let _ = handle.join();
     }
 }
@@ -267,60 +173,13 @@ impl Drop for Server {
     }
 }
 
-/// Serve one connection: parse, handle, respond, close. Failures that
-/// leave no way to answer the client (timeout configuration, a write
-/// that stalled past its deadline, injected socket faults) are counted
-/// and the connection dropped — the worker moves on either way.
-fn handle_connection(mut stream: TcpStream, service: &Service, opts: ServeOptions) {
-    if serve_one(&mut stream, service, &opts).is_err() {
-        fgbs_trace::stat("serve.conn_errors", 1);
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// The fallible body of [`handle_connection`]: configure socket
-/// deadlines, parse, dispatch, respond. Parse failures still produce a
-/// best-effort HTTP error response (400/408/413); only socket-level
-/// failures propagate as `Err`.
-fn serve_one(stream: &mut TcpStream, service: &Service, opts: &ServeOptions) -> io::Result<()> {
-    stream.set_read_timeout(Some(opts.read_timeout))?;
-    stream.set_write_timeout(Some(opts.write_timeout))?;
-    fgbs_fault::maybe_io("serve.read")?;
-    let response = match read_request_limited(stream, opts.max_body) {
-        Ok(request) => guarded_handle(service, &request),
-        Err(err) => {
-            let status = err.status();
-            if status == 408 {
-                fgbs_trace::stat("serve.timeouts", 1);
-            }
-            Response::error(status, &format!("bad request: {err}"))
-        }
-    };
-    fgbs_fault::maybe_io("serve.write")?;
-    response.write_to(stream)
-}
-
-/// Dispatch into the service with a panic firewall: a handler bug takes
-/// down one request (500 with a JSON body), never the worker thread.
-pub(crate) fn guarded_handle(service: &Service, request: &Request) -> Response {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.handle(request)))
-        .unwrap_or_else(|_| {
-            fgbs_trace::stat("serve.panics", 1);
-            // The handler's RequestGuard unwound with it, so read the id
-            // back from the global cursor is impossible — dump with the
-            // ambient id (0 outside a request) and let the event window
-            // carry the story.
-            fgbs_trace::flightrec::trigger("panic", fgbs_trace::current_request_id());
-            Response::error(500, "internal error: handler panicked")
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fgbs_core::PipelineConfig;
     use fgbs_store::Store;
     use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
 
     fn test_service(dir: &std::path::Path) -> Arc<Service> {
         let store = Arc::new(Store::open(dir).unwrap());

@@ -1,21 +1,13 @@
 //! A small in-process HTTP load generator for the daemon.
 //!
-//! Drives `conns` concurrent client connections, each issuing
-//! `requests` sequential `GET` requests, and reports per-request
-//! latency quantiles plus aggregate throughput. Two modes:
-//!
-//! - **keep-alive** (the event loop's strength): one connection per
-//!   client, every request riding the same socket; if the server closes
-//!   it (budget, `connection: close`) the client transparently
-//!   reconnects.
-//! - **one-shot**: a fresh connection per request with
-//!   `Connection: close` — the thread-per-connection baseline's
-//!   natural gait.
-//!
-//! The `fgbs loadgen` command runs both against in-process servers
-//! (event loop vs. blocking fallback) and records the comparison as
-//! `serve/*` rows in the benchmark barometer; the CI serve-load job
-//! gates on those rows.
+//! Drives `conns` concurrent keep-alive client connections, each
+//! issuing `requests` sequential `GET` requests over one socket (if the
+//! server closes it — budget, `connection: close` — the client
+//! transparently reconnects), and reports per-request latency quantiles
+//! plus aggregate throughput. The barometer's `serve/*` rows
+//! (`fgbs bench --filter serve/`) measure the event loop with it, and
+//! [`read_response`] is the client-side frame reader the serve tests
+//! share.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -29,9 +21,6 @@ pub struct LoadOptions {
     pub conns: usize,
     /// Sequential requests per connection.
     pub requests: usize,
-    /// Reuse connections (HTTP/1.1 keep-alive) instead of opening one
-    /// per request with `Connection: close`.
-    pub keep_alive: bool,
     /// Request target, e.g. `/health` or `/predict?suite=nr&k=4`.
     pub target: String,
 }
@@ -41,7 +30,6 @@ impl Default for LoadOptions {
         LoadOptions {
             conns: 64,
             requests: 64,
-            keep_alive: true,
             target: "/health".to_string(),
         }
     }
@@ -113,11 +101,7 @@ pub fn run(addr: SocketAddr, opts: &LoadOptions) -> LoadReport {
                 let mut local = Vec::with_capacity(requests);
                 let mut failed = 0u64;
                 barrier.wait();
-                if opts.keep_alive {
-                    run_keep_alive(addr, &opts.target, requests, &mut local, &mut failed);
-                } else {
-                    run_one_shot(addr, &opts.target, requests, &mut local, &mut failed);
-                }
+                run_keep_alive(addr, &opts.target, requests, &mut local, &mut failed);
                 latencies.lock().unwrap_or_else(|e| e.into_inner()).extend(local);
                 *errors.lock().unwrap_or_else(|e| e.into_inner()) += failed;
             });
@@ -180,31 +164,6 @@ fn run_keep_alive(
                 *errors += 1;
                 conn = None;
             }
-        }
-    }
-}
-
-fn run_one_shot(
-    addr: SocketAddr,
-    target: &str,
-    requests: usize,
-    latencies: &mut Vec<u64>,
-    errors: &mut u64,
-) {
-    for _ in 0..requests {
-        let t0 = Instant::now();
-        let outcome = connect(addr).and_then(|mut stream| {
-            write!(
-                stream,
-                "GET {target} HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\r\n"
-            )?;
-            stream.flush()?;
-            let mut residue = Vec::new();
-            read_response(&mut stream, &mut residue).map(drop)
-        });
-        match outcome {
-            Ok(()) => latencies.push(t0.elapsed().as_nanos() as u64),
-            Err(_) => *errors += 1,
         }
     }
 }
@@ -292,48 +251,33 @@ pub fn read_response(stream: &mut impl Read, residue: &mut Vec<u8>) -> io::Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LoopOptions, ServeOptions, Server, Service};
+    use crate::{Server, Service};
     use fgbs_core::PipelineConfig;
     use fgbs_store::Store;
     use std::sync::Arc;
 
-    fn server(event_loop: bool, dir: &std::path::Path) -> Server {
-        let store = Arc::new(Store::open(dir).unwrap());
+    #[test]
+    fn loadgen_round_trips_over_keep_alive() {
+        let dir = std::env::temp_dir().join(format!("fgbs-loadgen-{}", std::process::id()));
+        let store = Arc::new(Store::open(&dir).unwrap());
         let service = Arc::new(Service::new(
             PipelineConfig::default().with_threads(1),
             store,
         ));
-        let tuning = LoopOptions {
-            event_loop,
-            ..LoopOptions::default()
-        };
-        Server::start_tuned("127.0.0.1:0", 2, service, ServeOptions::default(), tuning).unwrap()
-    }
-
-    #[test]
-    fn loadgen_round_trips_against_both_server_modes() {
-        for event_loop in [true, false] {
-            let dir = std::env::temp_dir().join(format!(
-                "fgbs-loadgen-{}-{}",
-                event_loop,
-                std::process::id()
-            ));
-            let server = server(event_loop, &dir);
-            let report = run(
-                server.addr(),
-                &LoadOptions {
-                    conns: 4,
-                    requests: 8,
-                    keep_alive: event_loop, // blocking mode closes per request anyway
-                    target: "/health".to_string(),
-                },
-            );
-            assert_eq!(report.ok, 32, "event_loop={event_loop}: {report:?}");
-            assert_eq!(report.errors, 0, "event_loop={event_loop}");
-            assert!(report.p50_ns() > 0 && report.p99_ns() >= report.p50_ns());
-            assert!(report.throughput_rps() > 0.0);
-            server.shutdown();
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let server = Server::start("127.0.0.1:0", 2, service).unwrap();
+        let report = run(
+            server.addr(),
+            &LoadOptions {
+                conns: 2,
+                requests: 4,
+                target: "/health".to_string(),
+            },
+        );
+        assert_eq!(report.ok, 8, "{report:?}");
+        assert_eq!(report.errors, 0);
+        assert!(report.p50_ns() > 0 && report.p99_ns() >= report.p50_ns());
+        assert!(report.throughput_rps() > 0.0);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

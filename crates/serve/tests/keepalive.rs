@@ -8,9 +8,7 @@
 //! pair of *conflicting* `Content-Length` headers is rejected with a
 //! 400 before the body is waited for.
 //!
-//! Everything here exercises the epoll reactor, so the suite is
-//! Linux-only; the blocking fallback intentionally closes after every
-//! response and has its own coverage.
+//! The server runs on the epoll reactor, so the suite is Linux-only.
 #![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
@@ -22,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use fgbs_core::PipelineConfig;
 use fgbs_serve::loadgen::{read_response, ClientResponse};
-use fgbs_serve::{LoopOptions, ServeOptions, Server, Service};
+use fgbs_serve::{ServeOptions, Server, Service};
 use fgbs_store::Store;
 use proptest::prelude::*;
 
@@ -33,14 +31,13 @@ struct Harness {
 }
 
 impl Harness {
-    fn start(opts: ServeOptions, tuning: LoopOptions, tag: &str) -> Harness {
+    fn start(opts: ServeOptions, tag: &str) -> Harness {
         let dir = std::env::temp_dir().join(format!("fgbs-keepalive-{tag}-{}", std::process::id()));
         let store = Arc::new(Store::open(&dir).expect("open store"));
         // `fast()` keeps the one test that actually runs the pipeline
         // (`/predict` byte-identity) under a second.
         let service = Arc::new(Service::new(PipelineConfig::fast().with_threads(1), store));
-        let server =
-            Server::start_tuned("127.0.0.1:0", 2, service, opts, tuning).expect("start server");
+        let server = Server::start_with("127.0.0.1:0", 2, service, opts).expect("start server");
         Harness {
             server: Some(server),
             dir,
@@ -91,7 +88,7 @@ fn pipeline(stream: &mut TcpStream, targets: &[&str]) {
 
 #[test]
 fn pipelined_requests_answer_in_order_with_increasing_ids() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "order");
+    let harness = Harness::start(ServeOptions::default(), "order");
     let mut stream = harness.connect();
 
     // A fixed status pattern: the only way the assertion below holds is
@@ -125,7 +122,7 @@ fn pipelined_requests_answer_in_order_with_increasing_ids() {
 
 #[test]
 fn connection_close_header_is_honored() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "close");
+    let harness = Harness::start(ServeOptions::default(), "close");
     let mut stream = harness.connect();
     write!(
         stream,
@@ -148,11 +145,11 @@ fn connection_close_header_is_honored() {
 
 #[test]
 fn request_budget_closes_the_connection_after_the_last_response() {
-    let tuning = LoopOptions {
+    let opts = ServeOptions {
         max_requests_per_conn: 2,
-        ..LoopOptions::default()
+        ..ServeOptions::default()
     };
-    let harness = Harness::start(ServeOptions::default(), tuning, "budget");
+    let harness = Harness::start(opts, "budget");
     let mut stream = harness.connect();
     pipeline(&mut stream, &["/health", "/health", "/health"]);
 
@@ -173,7 +170,7 @@ fn request_budget_closes_the_connection_after_the_last_response() {
 
 #[test]
 fn predict_bodies_are_byte_identical_across_connection_reuse() {
-    let harness = Harness::start(ServeOptions::default(), LoopOptions::default(), "predict");
+    let harness = Harness::start(ServeOptions::default(), "predict");
     let target = "/predict?suite=nr&class=test&k=3&target=atom";
 
     // Reference: the one-request-per-connection gait.
@@ -217,14 +214,11 @@ fn client_that_stops_reading_is_poisoned_not_waited_on() {
     // buffering.
     let opts = ServeOptions {
         write_timeout: Duration::from_millis(250),
-        ..ServeOptions::default()
-    };
-    let tuning = LoopOptions {
         sndbuf: Some(4096),
         max_requests_per_conn: 1_000_000,
-        ..LoopOptions::default()
+        ..ServeOptions::default()
     };
-    let harness = Harness::start(opts, tuning, "stall");
+    let harness = Harness::start(opts, "stall");
     let mut stream = harness.connect();
     // Shrink the client's receive window too, so in-flight capacity is
     // bounded by kilobytes on both sides.
@@ -287,11 +281,7 @@ proptest! {
 
     #[test]
     fn conflicting_content_lengths_get_400_on_the_wire(a in 0usize..512, b in 0usize..512) {
-        let harness = Harness::start(
-            ServeOptions::default(),
-            LoopOptions::default(),
-            "dup-cl",
-        );
+        let harness = Harness::start(ServeOptions::default(), "dup-cl");
         let mut stream = harness.connect();
         // No body bytes follow: a conflicting head must fail eagerly,
         // an agreeing one waits for (and here: gets) its payload.

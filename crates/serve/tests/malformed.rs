@@ -1,6 +1,6 @@
 //! Fuzzing the daemon's front door: arbitrary bytes, hostile headers
 //! and garbage query strings must never take a worker down or wedge the
-//! accept loop. Every case talks to one shared server over real TCP and
+//! event loop. Every case talks to one shared server over real TCP and
 //! finishes by proving `/health` still answers — the liveness assertion
 //! the whole suite exists for.
 //!
@@ -41,6 +41,7 @@ fn server_addr() -> SocketAddr {
                 read_timeout: Duration::from_millis(50),
                 write_timeout: Duration::from_millis(500),
                 max_body: 4096,
+                ..ServeOptions::default()
             };
             let server = Server::start_with("127.0.0.1:0", 2, service, opts).expect("start server");
             let addr = server.addr();

@@ -109,7 +109,6 @@ enum Command {
     Top,
     BenchRun,
     BenchCmp,
-    Loadgen,
     Help,
 }
 
@@ -130,7 +129,7 @@ impl SuiteKind {
     }
 }
 
-const USAGE: &str = "usage: fgbs <info|show|reduce|predict|select|features|serve|store|snippet|trace|flightrec|top|bench|loadgen|help> \
+const USAGE: &str = "usage: fgbs <info|show|reduce|predict|select|features|serve|store|snippet|trace|flightrec|top|bench|help> \
 [--suite nr|nas|bigdata] [--class test|a|b] [--k N|elbow] [--threads N] \
 [--target atom|core2|sb] [--codelet NAME] [--paper-features] \
 [--results-dir DIR] [--store] [--addr HOST:PORT] [--keep N] \
@@ -170,11 +169,6 @@ commands:
                        gates (--quick for the fast subset, --out to record)
   bench cmp OLD NEW    compare two bench records with per-benchmark noise
                        thresholds; exits non-zero on regression
-  loadgen              drive in-process serve load: the event loop vs the
-                       blocking thread-per-connection baseline at 64
-                       concurrent connections; records gated `serve/*`
-                       barometer rows (mean, p99, wall/req) plus the
-                       calibration anchor (--quick, --out like bench)
   help                 this text
 
 options:
@@ -341,7 +335,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 cli.command = Command::BenchRun;
             }
         }
-        Some("loadgen") => cli.command = Command::Loadgen,
         Some("help") | Some("--help") | Some("-h") => cli.command = Command::Help,
         Some(other) => return Err(format!("unknown command `{other}`\n{USAGE}")),
         None => return Err(USAGE.to_string()),
@@ -727,7 +720,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     }
     let service = Arc::new(Service::new(cfg, store));
     let server = Server::start(&cli.addr, cli.threads, service)
-        .map_err(|e| format!("cannot bind {}: {e}", cli.addr))?;
+        .map_err(|e| format!("cannot serve on {}: {e}", cli.addr))?;
     println!("fgbs-serve listening on http://{}", server.addr());
     println!("store: {}/store — try: curl 'http://{}/predict?suite=nr&class=test&target=atom'",
         cli.results_dir, server.addr());
@@ -1179,83 +1172,6 @@ fn cmd_bench_cmp(cli: &Cli) -> Result<(), String> {
     }
 }
 
-/// `fgbs loadgen`: run only the `serve/*` barometer rows (plus the
-/// calibration anchor, so cross-machine `bench cmp` can normalize),
-/// print per-mode latency/throughput, and optionally record the result.
-fn cmd_loadgen(cli: &Cli) -> Result<(), String> {
-    let full = bench_registry(cli)?;
-    let reg = fgbs::bench::barometer::Registry {
-        schema: full.schema,
-        benchmarks: full
-            .benchmarks
-            .iter()
-            .filter(|b| b.suite == "serve" || b.suite == "calibration")
-            .cloned()
-            .collect(),
-    };
-    if !reg.benchmarks.iter().any(|b| b.suite == "serve") {
-        return Err("the registry has no `serve` benchmarks".to_string());
-    }
-    let threads = if cli.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        cli.threads
-    };
-    let opts = fgbs::bench::barometer::RunOptions {
-        quick: cli.quick,
-        filter: cli.bench_filter.clone(),
-        threads,
-    };
-    eprintln!(
-        "serve loadgen: {} mode, event loop vs blocking baseline…",
-        if cli.quick { "quick" } else { "full" }
-    );
-    let out = fgbs::bench::barometer::run_registry(&reg, &opts)?;
-    print!("{}", fgbs::bench::barometer::render_report(&out));
-    // Per-mode summary: the wall rows are ns per completed request, so
-    // their reciprocal is throughput.
-    println!();
-    for (label, hot, p99, wall) in [
-        (
-            "event   ",
-            "serve/hot_event/n64/t4",
-            "serve/p99_event/n64/t4",
-            "serve/wall_event/n64/t4",
-        ),
-        (
-            "blocking",
-            "serve/hot_blocking/n64/t4",
-            "serve/p99_blocking/n64/t4",
-            "serve/wall_blocking/n64/t4",
-        ),
-    ] {
-        let median = |id: &str| out.record.find(id).map(|b| b.median_ns);
-        if let (Some(hot), Some(p99), Some(wall)) = (median(hot), median(p99), median(wall)) {
-            println!(
-                "{label}  mean {:>10}  p99 {:>10}  throughput {:>9.0} req/s",
-                fgbs::bench::barometer::fmt_ns(hot),
-                fgbs::bench::barometer::fmt_ns(p99),
-                if wall > 0.0 { 1e9 / wall } else { 0.0 },
-            );
-        }
-    }
-    if let Some(path) = &cli.bench_out {
-        std::fs::write(path, out.record.render())
-            .map_err(|e| format!("cannot write record to {path}: {e}"))?;
-        eprintln!("record -> {path}");
-    }
-    let failed = out.failed_gates();
-    if !failed.is_empty() {
-        let ids: Vec<&str> = failed.iter().map(|g| g.id.as_str()).collect();
-        return Err(format!(
-            "{} serve gate(s) failed: {}",
-            failed.len(),
-            ids.join(", ")
-        ));
-    }
-    Ok(())
-}
-
 /// Write the collector's contents as a Chrome trace into `path`.
 fn write_trace(path: &str) -> Result<(), String> {
     let trace = fgbs::trace::drain();
@@ -1353,7 +1269,6 @@ fn main() {
         Command::Top => cmd_top(&cli),
         Command::BenchRun => cmd_bench_run(&cli),
         Command::BenchCmp => cmd_bench_cmp(&cli),
-        Command::Loadgen => cmd_loadgen(&cli),
     };
     let outcome = outcome.and_then(|()| match &cli.trace {
         Some(path) => write_trace(path),
@@ -1538,7 +1453,7 @@ mod tests {
             "info", "show", "reduce", "predict", "select", "features", "serve", "store ls",
             "store gc", "snippet pack", "snippet unpack", "snippet ls", "snippet verify",
             "snippet replay", "trace summary", "flightrec dump", "flightrec show", "top",
-            "bench", "bench cmp", "loadgen", "help",
+            "bench", "bench cmp", "help",
         ] {
             assert!(HELP.contains(cmd), "help must describe `{cmd}`");
         }
@@ -1565,12 +1480,6 @@ mod tests {
         assert_eq!(c.interval_ms, 250);
         assert_eq!(c.count, 3);
 
-        let c = parse(&argv("loadgen --quick --out serve.json --threads 4")).unwrap();
-        assert_eq!(c.command, Command::Loadgen);
-        assert!(c.quick);
-        assert_eq!(c.bench_out.as_deref(), Some("serve.json"));
-        assert_eq!(c.threads, 4);
-
         assert!(parse(&argv("flightrec")).is_err(), "flightrec needs a subcommand");
         assert!(parse(&argv("flightrec replay")).is_err());
         assert!(parse(&argv("flightrec show --request soon")).is_err());
@@ -1592,6 +1501,7 @@ mod tests {
     fn rejects_bad_input() {
         assert!(parse(&argv("")).is_err());
         assert!(parse(&argv("frobnicate")).is_err());
+        assert!(parse(&argv("loadgen")).is_err(), "serve load runs as `bench --filter serve/`");
         assert!(parse(&argv("reduce --k banana")).is_err());
         assert!(parse(&argv("reduce --suite spec")).is_err());
         assert!(parse(&argv("reduce --bogus")).is_err());

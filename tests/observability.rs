@@ -75,8 +75,7 @@ fn responses_carry_monotonic_request_ids() {
         second.request_id
     );
 
-    let mut wire = Vec::new();
-    first.write_to(&mut wire).unwrap();
+    let wire = first.render(false);
     let head = String::from_utf8_lossy(&wire);
     assert!(
         head.contains(&format!("x-fgbs-request-id: {}\r\n", first.request_id)),
@@ -234,8 +233,7 @@ fn metrics_serves_json_and_prometheus_expositions() {
         assert!(value.parse::<f64>().is_ok(), "{line}");
     }
 
-    let mut wire = Vec::new();
-    prom.write_to(&mut wire).unwrap();
+    let wire = prom.render(false);
     let head = String::from_utf8_lossy(&wire);
     assert!(
         head.contains("content-type: text/plain"),
