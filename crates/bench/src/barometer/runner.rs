@@ -33,8 +33,9 @@ pub struct GateOutcome {
     pub what: String,
     /// Whether the bound held (skipped gates count as passed).
     pub pass: bool,
-    /// The gate could not be evaluated (its `vs` entry was filtered
-    /// out or is `full_only` in a quick run).
+    /// The gate was not evaluated: its `vs` entry was filtered out or
+    /// is `full_only` in a quick run, or its row or `vs` row runs more
+    /// threads than the host has cores.
     pub skipped: bool,
     /// Measured detail for the report.
     pub detail: String,
@@ -99,43 +100,71 @@ pub fn run_registry(reg: &Registry, opts: &RunOptions) -> Result<RunOutput, Stri
 }
 
 /// Evaluate the absolute (`max_ns`) and ratio (`gate`) bounds of every
-/// executed entry against the freshly recorded medians.
+/// executed entry against the freshly recorded medians. A gate whose
+/// row, or `vs` row, runs more threads than the host has cores is
+/// skipped: it would measure oversubscription, not the code.
 fn check_gates(selected: &[&BenchDef], record: &Record) -> Vec<GateOutcome> {
+    let oversubscribed = |id: &str| {
+        let def = selected.iter().find(|d| d.id == id)?;
+        // `t0` rows run on the runner's `--threads`.
+        let threads = if def.threads == 0 {
+            record.threads
+        } else {
+            def.threads as u64
+        };
+        (threads > record.env.ncpu).then(|| {
+            format!(
+                "skipped: `{id}` runs {threads} threads on a {}-core host",
+                record.env.ncpu
+            )
+        })
+    };
     let mut out = Vec::new();
     for def in selected {
         let mine = match record.find(&def.id) {
             Some(r) => r,
             None => continue,
         };
+        let skipped = |what: String, detail: String| GateOutcome {
+            id: def.id.clone(),
+            what,
+            pass: true,
+            skipped: true,
+            detail,
+        };
         if let Some(max_ns) = def.max_ns {
-            out.push(GateOutcome {
-                id: def.id.clone(),
-                what: format!("median <= {max_ns} ns/op"),
-                pass: mine.median_ns <= max_ns as f64,
-                skipped: false,
-                detail: format!("measured {:.1} ns/op", mine.median_ns),
+            let what = format!("median <= {max_ns} ns/op");
+            out.push(match oversubscribed(&def.id) {
+                Some(why) => skipped(what, why),
+                None => GateOutcome {
+                    id: def.id.clone(),
+                    what,
+                    pass: mine.median_ns <= max_ns as f64,
+                    skipped: false,
+                    detail: format!("measured {:.1} ns/op", mine.median_ns),
+                },
             });
         }
         if let Some(g) = &def.gate {
-            match record.find(&g.vs) {
-                Some(vs) if vs.median_ns > 0.0 => {
+            let what = format!("median <= {} x `{}`", g.max_ratio, g.vs);
+            let why = oversubscribed(&def.id).or_else(|| oversubscribed(&g.vs));
+            out.push(match (record.find(&g.vs), why) {
+                (_, Some(why)) => skipped(what, why),
+                (Some(vs), None) if vs.median_ns > 0.0 => {
                     let ratio = mine.median_ns / vs.median_ns;
-                    out.push(GateOutcome {
+                    GateOutcome {
                         id: def.id.clone(),
-                        what: format!("median <= {} x `{}`", g.max_ratio, g.vs),
+                        what,
                         pass: ratio <= g.max_ratio,
                         skipped: false,
                         detail: format!("measured ratio {ratio:.3}"),
-                    });
+                    }
                 }
-                _ => out.push(GateOutcome {
-                    id: def.id.clone(),
-                    what: format!("median <= {} x `{}`", g.max_ratio, g.vs),
-                    pass: true,
-                    skipped: true,
-                    detail: format!("skipped: `{}` was not measured in this run", g.vs),
-                }),
-            }
+                _ => skipped(
+                    what,
+                    format!("skipped: `{}` was not measured in this run", g.vs),
+                ),
+            });
         }
     }
     out
@@ -280,5 +309,39 @@ mod tests {
         .unwrap();
         let gate = filtered.gates.iter().find(|g| g.id == "slow/only/n1/t1").unwrap();
         assert!(gate.skipped && gate.pass);
+    }
+
+    #[test]
+    fn gates_on_oversubscribed_rows_are_skipped() {
+        let over = EnvFingerprint::capture().ncpu + 1;
+        // Both bounds are unreachable, so only a skip can pass them.
+        let reg = Registry::parse(&format!(
+            r#"{{"schema":1,"benchmarks":[
+                {{"id":"fault/probe/n1/t{over}","suite":"fault","stage":"fault_probe",
+                 "size":1,"threads":{over},"iters":3,"quick_iters":3,"batch":64,"max_ns":0}},
+                {{"id":"fault/probe/n1/t1","suite":"fault","stage":"fault_probe",
+                 "size":1,"threads":1,"iters":3,"quick_iters":3,"batch":64,"max_ns":1000000,
+                 "gate":{{"vs":"fault/probe/n1/t{over}","max_ratio":0.000001}}}}
+            ]}}"#
+        ))
+        .unwrap();
+        let out = run_registry(
+            &reg,
+            &RunOptions {
+                quick: true,
+                filter: None,
+                threads: 1,
+            },
+        )
+        .unwrap();
+        assert_eq!(out.record.benchmarks.len(), 2, "both rows are measured");
+        assert!(out.failed_gates().is_empty(), "{:?}", out.gates);
+        let over_id = format!("fault/probe/n1/t{over}");
+        let max = out.gates.iter().find(|g| g.id == over_id).unwrap();
+        assert!(max.skipped && max.detail.contains(&format!("runs {over} threads")));
+        let t1: Vec<&GateOutcome> = out.gates.iter().filter(|g| g.id.ends_with("/t1")).collect();
+        assert!(!t1[0].skipped, "the t1 row's own bound is evaluated");
+        assert!(t1[1].skipped, "a ratio against an oversubscribed row is skipped");
+        assert!(render_report(&out).contains("[SKIP]"));
     }
 }

@@ -365,12 +365,11 @@ fn pipeline_reduce_traced_armed(def: &BenchDef, samples: usize, threads: usize) 
     }))
 }
 
-/// One armed flight-recorder event (`record_at` into the ring).
+/// One armed flight-recorder event (`record_at` into the thread's log).
 fn obs_flightrec_record(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
-    // The ring is bounded: a long batch overwrites the oldest slot,
-    // which is the honest steady-state cost. The explicit timestamp
-    // mirrors the span path (it reuses the span's end time instead of
-    // reading the clock twice).
+    // The log is bounded: a long batch evicts the oldest record, which
+    // is the honest steady-state cost. The explicit timestamp keeps the
+    // clock read out of the measured path.
     Ok(with_flightrec_armed(true, || {
         run_samples(def.batch, samples, |i| {
             fgbs_trace::flightrec::record_at(

@@ -148,9 +148,6 @@ fn worker_loop(queue: &Queue) {
                 run_started.duration_since(queued_at).as_micros() as u64,
             );
             fgbs_trace::stat("exec.run_us", run_started.elapsed().as_micros() as u64);
-            // Executor workers are long-lived: publish the job's spans
-            // now so `/trace` snapshots see completed requests.
-            fgbs_trace::flush();
         }
     }
 }

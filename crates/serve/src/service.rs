@@ -239,9 +239,9 @@ impl Service {
     /// store is attached to the pipeline configuration, so every stage
     /// consults it.
     pub fn new(cfg: PipelineConfig, store: Arc<Store>) -> Service {
-        // Leave the tracer on for the daemon's lifetime with a bounded
-        // per-thread span buffer: `/trace` serves a rolling window of
-        // recent pipeline activity without unbounded memory growth.
+        // Leave the tracer on for the daemon's lifetime with bounded
+        // per-thread logs: `/trace` serves a rolling window of recent
+        // pipeline activity without unbounded memory growth.
         fgbs_trace::set_capacity(4096);
         fgbs_trace::set_enabled(true);
         Service {

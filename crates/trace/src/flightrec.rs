@@ -2,17 +2,19 @@
 //!
 //! Traces answer "what happened in the run I instrumented"; the flight
 //! recorder answers "what just happened in the process that failed".
-//! Every thread owns a fixed-capacity ring of compact [`Event`]
-//! records (closed spans, counter bumps, explicit notes). Recording
-//! overwrites the oldest slot, costs no allocation after warm-up, and
-//! touches only the owning thread's ring through an uncontended
-//! per-thread lock — the `obs/flightrec_record` barometer entry gates
-//! the whole path under 50 ns/event, so the recorder stays armed in
-//! production.
+//! It keeps no buffer of its own: it reads the newest records of every
+//! thread's log (see the crate docs), where the tracer writes closed
+//! spans and counter bumps, and it adds notes and triggers to the same
+//! log. A note costs no allocation once the log has filled and touches
+//! only the owning thread's log through an uncontended lock — the
+//! `obs/flightrec_record` barometer entry gates it under 50 ns/event,
+//! so the recorder stays armed in production. With tracing off, an
+//! armed recorder keeps [`DEFAULT_RING_CAPACITY`] records per log; with
+//! tracing on, the log keeps what [`crate::set_capacity`] allows.
 //!
 //! When something goes wrong — a panic, a 503/deadline expiry, a
 //! quarantined artifact, an armed failpoint firing — the failing site
-//! calls [`trigger`], which merges every thread's ring into a
+//! calls [`trigger`], which merges every thread's window into a
 //! time-sorted [`Dump`] and hands it to the installed sink (the serve
 //! daemon persists dumps as `diagnostic` store artifacts keyed by
 //! request id; see `fgbs flightrec show`). A thread-local re-entrancy
@@ -21,17 +23,18 @@
 //!
 //! Events carry the ambient request id ([`crate::current_request_id`])
 //! so a dump window can be filtered to the request that failed even
-//! though rings interleave events from concurrent requests.
+//! though logs interleave events from concurrent requests.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::Json;
 
-/// Default per-thread ring capacity (events).
+/// Records of each thread's log that a dump reads, and that the armed
+/// recorder keeps while tracing is off.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// What kind of occurrence an [`Event`] records.
@@ -59,7 +62,8 @@ impl EventKind {
     }
 }
 
-/// One flight-recorder record: 40 bytes, fixed layout, no heap.
+/// One flight-recorder record: 56 bytes on 64-bit targets, fixed
+/// layout, no heap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// Nanoseconds on the trace clock ([`crate::now_ns`]).
@@ -86,7 +90,7 @@ pub struct Dump {
     pub request: u64,
     /// When the dump was taken, on the trace clock.
     pub ts_ns: u64,
-    /// Events from every thread's ring, ascending by timestamp.
+    /// Events from every thread's window, ascending by timestamp.
     pub events: Vec<Event>,
 }
 
@@ -126,39 +130,7 @@ impl Dump {
 // Recorder internals
 // ---------------------------------------------------------------------
 
-/// Fixed-capacity overwrite-oldest ring. `head` is the next write slot
-/// once the buffer has filled.
-struct Ring {
-    buf: Vec<Event>,
-    head: usize,
-    total: u64,
-}
-
-impl Ring {
-    fn push(&mut self, cap: usize, e: Event) {
-        self.total += 1;
-        if self.buf.len() < cap {
-            self.buf.push(e);
-        } else {
-            // Capacity can shrink between pushes (tests); clamp.
-            let slot = self.head % self.buf.len();
-            self.buf[slot] = e;
-            self.head = slot + 1;
-        }
-    }
-
-    fn events(&self) -> Vec<Event> {
-        // Oldest-first: the tail after `head`, then the front.
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head.min(self.buf.len())..]);
-        out.extend_from_slice(&self.buf[..self.head.min(self.buf.len())]);
-        out
-    }
-}
-
 static ARMED: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-static RINGS: Mutex<Vec<Arc<Mutex<Ring>>>> = Mutex::new(Vec::new());
 
 /// The dump sink; installed once by the daemon (or a test), invoked by
 /// [`trigger`] outside the sink lock.
@@ -166,30 +138,15 @@ type Sink = Arc<dyn Fn(&Dump) + Send + Sync>;
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
 
 thread_local! {
-    static RING: std::cell::OnceCell<(u64, Arc<Mutex<Ring>>)> = const { std::cell::OnceCell::new() };
     /// Re-entrancy latch: a sink that trips another trigger (e.g. a
     /// store failpoint while persisting the dump) must not recurse.
     static IN_TRIGGER: Cell<bool> = const { Cell::new(false) };
 }
 
-fn with_ring<R>(f: impl FnOnce(u64, &Mutex<Ring>) -> R) -> R {
-    RING.with(|cell| {
-        let (tid, ring) = cell.get_or_init(|| {
-            let ring = Arc::new(Mutex::new(Ring {
-                buf: Vec::new(),
-                head: 0,
-                total: 0,
-            }));
-            RINGS.lock().push(Arc::clone(&ring));
-            (crate::thread_tid(), ring)
-        });
-        f(*tid, ring)
-    })
-}
-
 /// Arm or disarm the recorder. [`crate::set_enabled`] arms it by
 /// default alongside tracing; disarming makes [`record_at`] a single
-/// relaxed load.
+/// relaxed load. Closed spans and counter bumps are trace records and
+/// enter the window whenever tracing is on.
 pub fn arm(on: bool) {
     ARMED.store(on, Ordering::Relaxed);
 }
@@ -200,34 +157,14 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Set the per-thread ring capacity (new events; existing rings keep
-/// their filled slots). Intended for tests and the daemon.
-pub fn set_capacity(events: usize) {
-    CAPACITY.store(events.max(1), Ordering::Relaxed);
-}
-
-/// Record an event with an explicit timestamp (the span path reuses
-/// the span's end timestamp to avoid a second clock read).
+/// Record an event with an explicit timestamp into this thread's log.
+/// A [`EventKind::Counter`] event counts toward the trace's counters.
 #[inline]
 pub fn record_at(ts_ns: u64, kind: EventKind, name: &'static str, value: u64) {
     if !armed() {
         return;
     }
-    let request = crate::current_request_id();
-    let cap = CAPACITY.load(Ordering::Relaxed);
-    with_ring(|tid, ring| {
-        ring.lock().push(
-            cap,
-            Event {
-                ts_ns,
-                request,
-                tid,
-                kind,
-                name,
-                value,
-            },
-        );
-    });
+    crate::write_event(ts_ns, kind, name, value);
 }
 
 /// Record an explicit [`EventKind::Note`] stamped with the current
@@ -240,12 +177,14 @@ pub fn note(name: &'static str, value: u64) {
     record_at(crate::now_ns(), EventKind::Note, name, value);
 }
 
-/// Merge every thread's ring into one time-sorted window.
+/// Merge the newest [`DEFAULT_RING_CAPACITY`] records of every thread's
+/// log into one time-sorted window.
 pub fn dump() -> Vec<Event> {
-    let rings: Vec<Arc<Mutex<Ring>>> = RINGS.lock().iter().map(Arc::clone).collect();
-    let mut events: Vec<Event> = Vec::new();
-    for ring in rings {
-        events.extend(ring.lock().events());
+    let mut events = Vec::new();
+    for log in crate::LOGS.lock().iter() {
+        let log = log.lock();
+        let from = log.records.len().saturating_sub(DEFAULT_RING_CAPACITY);
+        events.extend(log.records.range(from..).map(crate::Record::event));
     }
     events.sort_by_key(|e| (e.ts_ns, e.tid));
     events
@@ -313,19 +252,11 @@ mod tests {
 
     fn exclusive() -> std::sync::MutexGuard<'static, ()> {
         // One process-global lock shared with the collector tests: the
-        // rings, sink and arming flag are all global state.
+        // logs, sink and arming flag are all global state.
         let g = crate::tests::TEST_LOCK.lock();
         clear_sink();
-        set_capacity(DEFAULT_RING_CAPACITY);
         arm(true);
-        // Drain any prior contents so counts below are exact.
-        let rings: Vec<_> = RINGS.lock().iter().map(Arc::clone).collect();
-        for r in rings {
-            let mut r = r.lock();
-            r.buf.clear();
-            r.head = 0;
-            r.total = 0;
-        }
+        crate::tests::clear_logs();
         g
     }
 
@@ -340,15 +271,17 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_and_dump_sorts() {
         let _g = exclusive();
-        set_capacity(8);
+        crate::set_capacity(8);
+        crate::set_enabled(true);
         for i in 0..20u64 {
             record_at(i, EventKind::Note, "tick", i);
         }
+        crate::set_enabled(false);
+        crate::set_capacity(0);
         let events: Vec<Event> = dump().into_iter().filter(|e| e.name == "tick").collect();
         assert_eq!(events.len(), 8, "bounded window");
         let values: Vec<u64> = events.iter().map(|e| e.value).collect();
         assert_eq!(values, (12..20).collect::<Vec<u64>>(), "oldest evicted, sorted");
-        set_capacity(DEFAULT_RING_CAPACITY);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! Every pipeline layer (core stages, the work pool, the artifact store,
 //! clustering, the GA) records *spans* (named, nested, timed regions),
 //! *counters* (deterministic event counts) and *stats* (nondeterministic
-//! aggregates such as per-worker queue-wait time) into thread-local
-//! shards. A global sink drains the shards into a [`Trace`] that can be
+//! aggregates such as per-worker queue-wait time) into one log per
+//! thread. [`drain`] reads every log into a [`Trace`] that can be
 //! exported as Chrome `chrome://tracing` JSON ([`chrome::to_chrome`]),
 //! aggregated into a per-stage summary table ([`summary`]), or folded
-//! into `fgbs-serve`'s `/metrics` registry.
+//! into `fgbs-serve`'s `/metrics` registry. The same logs are the
+//! [`flightrec`] window.
 //!
 //! # Determinism
 //!
@@ -31,17 +32,23 @@
 //! sorted, ids/timestamps/tids ignored) so tests can assert tree
 //! equality across thread counts.
 //!
-//! Recording is cheap enough to leave on (see `crates/bench/benches/
-//! trace.rs`): a span is one relaxed atomic load when disabled, and two
-//! timestamps plus a thread-local push when enabled — records buffer in
-//! unsynchronised thread-local storage and reach the shared shard in
-//! batched flushes ([`flush`]), so the hot path takes no lock.
+//! # The per-thread log
+//!
+//! Recording is cheap enough to leave on (the barometer's `trace/span`
+//! row gates it): a span is one relaxed atomic load when disabled, and
+//! two timestamps plus one append to the calling thread's log when
+//! enabled. A span, counter bump, flight-recorder note or trigger is
+//! written once, under the log's lock, which only the owning thread
+//! takes on the hot path; a drain, snapshot or dump from any thread
+//! sees it as soon as it is written. A log outlives its thread: the
+//! next thread to record adopts it, so the records kept are bounded by
+//! the peak number of threads recording at once.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -256,7 +263,8 @@ pub struct SpanRecord {
     pub parent: Option<u64>,
     /// Span name (`stage.reduce`, `cluster.distance`, ...).
     pub name: &'static str,
-    /// Trace-local thread id (not the OS tid).
+    /// Trace-local thread id (not the OS tid). A thread that starts
+    /// after another has exited may reuse its id, with its log.
     pub tid: u64,
     /// Start, in nanoseconds since the process trace epoch.
     pub start_ns: u64,
@@ -269,8 +277,8 @@ pub struct SpanRecord {
     pub args: Args,
 }
 
-/// Cumulative per-span-name aggregate, maintained independently of the
-/// rolling span buffer so capacity drops never lose totals.
+/// Cumulative per-span-name aggregate: spans evicted from a full log
+/// still count, so capacity drops never lose totals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanTotal {
     /// Span name.
@@ -294,8 +302,8 @@ pub struct Trace {
     pub stats: Vec<(String, u64)>,
     /// Cumulative per-name span aggregates, sorted by name.
     pub span_totals: Vec<SpanTotal>,
-    /// Spans evicted from the rolling buffer (0 unless a capacity is
-    /// set via [`set_capacity`]).
+    /// Spans evicted from a full log before a drain read them (see
+    /// [`set_capacity`]).
     pub dropped: u64,
 }
 
@@ -380,94 +388,159 @@ impl Trace {
 }
 
 // ---------------------------------------------------------------------
-// Collector internals
+// The per-thread log
 // ---------------------------------------------------------------------
 
-#[derive(Default)]
-struct Shard {
-    events: VecDeque<SpanRecord>,
-    counters: HashMap<&'static str, u64>,
-    stats: HashMap<String, u64>,
-    /// Aggregates of spans already evicted from `events` (capacity
-    /// drops); live-span aggregates are computed at collect time so the
-    /// record hot path never touches a map.
-    totals: HashMap<&'static str, (u64, u64)>,
-    dropped: u64,
+/// One entry of a thread's log: a closed span, or a counter bump, note
+/// or trigger. The span is boxed so every record is as small as an
+/// [`flightrec::Event`]; the allocation costs a span no more than
+/// moving the unboxed record would.
+enum Record {
+    Span(Box<SpanRecord>),
+    Event(flightrec::Event),
 }
 
-/// Span records buffered per thread before one locked append into the
-/// shard — keeps the mutex (and eviction bookkeeping) off the hot path.
-const FLUSH_EVERY: usize = 64;
-
-/// Move `pending` into the shard, evicting the oldest events beyond the
-/// configured capacity (their aggregates fold into `Shard::totals`).
-fn flush_pending(shard: &Mutex<Shard>, pending: &mut Vec<SpanRecord>) {
-    if pending.is_empty() {
-        return;
+impl Record {
+    /// The flight-recorder view of this record. A span is stamped with
+    /// its end time and carries its duration.
+    fn event(&self) -> flightrec::Event {
+        match self {
+            Record::Span(s) => flightrec::Event {
+                ts_ns: s.start_ns.saturating_add(s.dur_ns),
+                request: s.request,
+                tid: s.tid,
+                kind: flightrec::EventKind::Span,
+                name: s.name,
+                value: s.dur_ns,
+            },
+            Record::Event(e) => *e,
+        }
     }
-    let cap = CAPACITY.load(Ordering::Relaxed);
-    let mut s = shard.lock();
-    s.events.extend(pending.drain(..));
-    if cap > 0 && s.events.len() > cap {
-        let Shard {
-            events,
-            totals,
-            dropped,
-            ..
-        } = &mut *s;
-        // Evict down to half capacity in one batch. The ring buffer
-        // makes each eviction O(1), and consecutive evictions
-        // overwhelmingly share a span name, so a last-name memo touches
-        // the aggregate map once per run instead of once per record.
-        let excess = events.len() - cap / 2;
-        let mut memo: Option<(&'static str, u64, u64)> = None;
-        let fold = |totals: &mut HashMap<&'static str, (u64, u64)>, (name, count, ns)| {
-            let agg = totals.entry(name).or_insert((0, 0));
-            agg.0 += count;
-            agg.1 += ns;
+}
+
+/// Counter sums and per-name span `(count, total_ns)` aggregates. A
+/// name is found by address, so folding an evicted record never reads
+/// string bytes; a name at two addresses gets two entries, which
+/// [`collect`] merges by content.
+#[derive(Default, Clone)]
+struct Tally {
+    counters: Vec<(&'static str, u64)>,
+    spans: Vec<(&'static str, u64, u64)>,
+}
+
+impl Tally {
+    fn add_span(&mut self, s: &SpanRecord) {
+        match self.spans.iter_mut().find(|t| std::ptr::eq(t.0, s.name)) {
+            Some(t) => (t.1, t.2) = (t.1 + 1, t.2 + s.dur_ns),
+            None => self.spans.push((s.name, 1, s.dur_ns)),
+        }
+    }
+
+    fn add_counter(&mut self, name: &'static str, delta: u64) {
+        match self.counters.iter_mut().find(|t| std::ptr::eq(t.0, name)) {
+            Some(t) => t.1 += delta,
+            None => self.counters.push((name, delta)),
+        }
+    }
+}
+
+/// One thread's log: its records, oldest first, and its stats.
+#[derive(Default)]
+struct Log {
+    /// Trace-local thread id, kept by every thread that adopts the log.
+    tid: u64,
+    /// The last span sequence number an exited owner used.
+    seq: u64,
+    records: VecDeque<Record>,
+    /// How many of the oldest `records` a drain has already read.
+    drained: usize,
+    /// Records evicted before a drain read them.
+    evicted: Tally,
+    stats: HashMap<String, u64>,
+}
+
+impl Log {
+    /// Append `r`, first evicting the oldest records beyond the limit:
+    /// the capacity while tracing, the flight window otherwise.
+    #[inline]
+    fn push(&mut self, r: Record) {
+        let limit = match CAPACITY.load(Ordering::Relaxed) {
+            _ if !enabled() => flightrec::DEFAULT_RING_CAPACITY,
+            0 => usize::MAX,
+            cap => cap,
         };
-        for _ in 0..excess {
-            let r = events.pop_front().expect("excess is at most len");
-            match &mut memo {
-                Some((name, count, ns)) if std::ptr::eq::<str>(*name, r.name) => {
-                    *count += 1;
-                    *ns += r.dur_ns;
-                }
-                _ => {
-                    if let Some(run) = memo.take() {
-                        fold(totals, run);
+        while self.records.len() >= limit {
+            let old = self.records.pop_front().expect("limit is at least 1");
+            let fold = self.drained == 0;
+            self.drained = self.drained.saturating_sub(1);
+            // Destructured by value, an evicted event needs no drop
+            // call, which keeps the recorder's steady state call-free.
+            match old {
+                Record::Span(s) => {
+                    if fold {
+                        self.evicted.add_span(&s);
                     }
-                    memo = Some((r.name, 1, r.dur_ns));
+                }
+                Record::Event(e) => {
+                    if fold && e.kind == flightrec::EventKind::Counter {
+                        self.evicted.add_counter(e.name, e.value);
+                    }
                 }
             }
         }
-        if let Some(run) = memo {
-            fold(totals, run);
-        }
-        *dropped += excess as u64;
+        self.records.push_back(r);
     }
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static CAPACITY: AtomicUsize = AtomicUsize::new(0);
-static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-static REGISTRY: Mutex<Vec<Arc<Mutex<Shard>>>> = Mutex::new(Vec::new());
+/// Every log ever created. One that only this registry holds belongs
+/// to an exited thread and waits for the next thread to adopt it.
+static LOGS: Mutex<Vec<Arc<Mutex<Log>>>> = Mutex::new(Vec::new());
 
+/// This thread's handle on its log, plus the span state only this
+/// thread touches.
 struct Tls {
-    shard: Arc<Mutex<Shard>>,
+    log: Arc<Mutex<Log>>,
     tid: u64,
     seq: u64,
     stack: Vec<u64>,
     inherit: Option<u64>,
-    pending: Vec<SpanRecord>,
+}
+
+impl Tls {
+    /// Adopt an exited thread's log, or register a new one.
+    fn adopt() -> Tls {
+        let mut logs = LOGS.lock();
+        let log = match logs.iter_mut().position(|l| Arc::get_mut(l).is_some()) {
+            Some(i) => Arc::clone(&logs[i]),
+            None => {
+                let log = Arc::new(Mutex::new(Log {
+                    tid: logs.len() as u64,
+                    ..Log::default()
+                }));
+                logs.push(Arc::clone(&log));
+                log
+            }
+        };
+        let (tid, seq) = {
+            let l = log.lock();
+            (l.tid, l.seq)
+        };
+        Tls {
+            log,
+            tid,
+            seq,
+            stack: Vec::new(),
+            inherit: None,
+        }
+    }
 }
 
 impl Drop for Tls {
     fn drop(&mut self) {
-        // Thread exit: whatever is still buffered must reach the shard,
-        // which outlives us via the registry.
-        let shard = Arc::clone(&self.shard);
-        flush_pending(&shard, &mut self.pending);
+        // Thread exit: the next adopter continues this log's span ids.
+        self.log.lock().seq = self.seq;
     }
 }
 
@@ -477,22 +550,22 @@ thread_local! {
 
 #[inline]
 fn with_tls<R>(f: impl FnOnce(&mut Tls) -> R) -> R {
-    TLS.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let tls = slot.get_or_insert_with(|| {
-            let shard = Arc::new(Mutex::new(Shard::default()));
-            REGISTRY.lock().push(Arc::clone(&shard));
-            Tls {
-                shard,
-                tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-                seq: 0,
-                stack: Vec::new(),
-                inherit: None,
-                pending: Vec::with_capacity(FLUSH_EVERY),
-            }
-        });
-        f(tls)
-    })
+    TLS.with(|cell| f(cell.borrow_mut().get_or_insert_with(Tls::adopt)))
+}
+
+/// Append a counter bump, note or trigger to this thread's log.
+pub(crate) fn write_event(ts_ns: u64, kind: flightrec::EventKind, name: &'static str, value: u64) {
+    let request = current_request_id();
+    with_tls(|t| {
+        t.log.lock().push(Record::Event(flightrec::Event {
+            ts_ns,
+            request,
+            tid: t.tid,
+            kind,
+            name,
+            value,
+        }))
+    });
 }
 
 /// Globally enable or disable recording. Disabled (the default), every
@@ -555,13 +628,6 @@ impl Drop for RequestGuard {
     }
 }
 
-/// This thread's trace-local thread id (allocating one if the thread
-/// has not recorded yet). Shared with [`flightrec`] so span `tid`s and
-/// flight-recorder `tid`s agree.
-pub(crate) fn thread_tid() -> u64 {
-    with_tls(|t| t.tid)
-}
-
 /// Whether recording is currently enabled.
 #[inline]
 pub fn enabled() -> bool {
@@ -578,16 +644,19 @@ pub fn now_ns() -> u64 {
     clock::now_ns()
 }
 
-/// Cap each thread's span buffer (oldest spans are evicted and counted
-/// in [`Trace::dropped`]). `0` (the default) means unbounded — required
-/// for digest comparisons. The daemon sets a cap so `/trace` serves a
-/// rolling window.
-pub fn set_capacity(per_thread_spans: usize) {
-    CAPACITY.store(per_thread_spans, Ordering::Relaxed);
+/// Cap each thread's log at `records_per_thread` records while tracing
+/// is on. Spans, counter bumps and flight-recorder events all count,
+/// and the oldest go first: evicted spans a drain has not read fold
+/// into [`Trace::span_totals`] and [`Trace::dropped`], evicted counter
+/// bumps into [`Trace::counters`]. `0` (the default) keeps every record
+/// until the next drain — required for digest comparisons. The daemon
+/// sets a cap so `/trace` serves a rolling window.
+pub fn set_capacity(records_per_thread: usize) {
+    CAPACITY.store(records_per_thread, Ordering::Relaxed);
 }
 
 /// Begin a span. The returned guard records the span into the calling
-/// thread's shard when dropped; nesting follows guard scopes (LIFO).
+/// thread's log when dropped; nesting follows guard scopes (LIFO).
 #[must_use = "a span measures the scope of its guard"]
 #[inline]
 pub fn span(name: &'static str) -> Span {
@@ -664,15 +733,15 @@ impl Drop for Span {
         let args = std::mem::take(&mut self.args);
         let (id, parent, name, start_ns) = (self.id, self.parent, self.name, self.start_ns);
         let request = current_request_id();
-        let recorded = with_tls(|t| {
+        with_tls(|t| {
             // Close any children left open (a forgotten guard) so the
             // stack stays LIFO-consistent; a span already closed by its
             // parent records nothing.
             let Some(pos) = t.stack.iter().rposition(|&open| open == id) else {
-                return false;
+                return;
             };
             t.stack.truncate(pos);
-            t.pending.push(SpanRecord {
+            t.log.lock().push(Record::Span(Box::new(SpanRecord {
                 id,
                 parent,
                 name,
@@ -681,22 +750,8 @@ impl Drop for Span {
                 dur_ns,
                 request,
                 args,
-            });
-            if t.pending.len() >= FLUSH_EVERY {
-                flush_pending(&t.shard, &mut t.pending);
-            }
-            true
+            })));
         });
-        if recorded {
-            // Reuse the span's end timestamp — the recorder path pays
-            // no second clock read.
-            flightrec::record_at(
-                start_ns.saturating_add(dur_ns),
-                flightrec::EventKind::Span,
-                name,
-                dur_ns,
-            );
-        }
     }
 }
 
@@ -707,12 +762,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
-    with_tls(|t| {
-        *t.shard.lock().counters.entry(name).or_insert(0) += delta;
-    });
-    if flightrec::armed() {
-        flightrec::record_at(clock::now_ns(), flightrec::EventKind::Counter, name, delta);
-    }
+    write_event(clock::now_ns(), flightrec::EventKind::Counter, name, delta);
 }
 
 /// Bump a nondeterministic aggregate (per-worker run time, queue wait,
@@ -722,7 +772,13 @@ pub fn stat(name: &str, delta: u64) {
         return;
     }
     with_tls(|t| {
-        *t.shard.lock().stats.entry(name.to_string()).or_insert(0) += delta;
+        let mut log = t.log.lock();
+        match log.stats.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                log.stats.insert(name.to_string(), delta);
+            }
+        }
     });
 }
 
@@ -761,35 +817,15 @@ impl Drop for InheritGuard {
     fn drop(&mut self) {
         if self.set {
             let prev = self.prev.take();
-            with_tls(|t| {
-                t.inherit = prev;
-                // A worker closure is ending: publish its spans so a
-                // drain after `map` returns sees them, however long the
-                // worker thread itself lives.
-                flush_pending(&t.shard, &mut t.pending);
-            });
+            with_tls(|t| t.inherit = prev);
         }
     }
 }
 
-/// Flush this thread's buffered span records into its shard, making
-/// them visible to [`drain`]/[`snapshot`] from other threads. Called
-/// automatically every few dozen spans, when an [`InheritGuard`] drops,
-/// at thread exit, and at the start of a drain on the calling thread;
-/// long-lived worker threads should call it after finishing a unit of
-/// work.
-pub fn flush() {
-    TLS.with(|cell| {
-        if let Some(t) = cell.borrow_mut().as_mut() {
-            flush_pending(&t.shard, &mut t.pending);
-        }
-    });
-}
-
-/// Drain every thread's shard: returns all completed spans, counters,
+/// Drain every thread's log: returns all completed spans, counters,
 /// stats and aggregates recorded since the previous drain, and resets
-/// the collector. Spans still open keep recording into the (now empty)
-/// shards.
+/// the collector. Each log keeps its flight-recorder window, and spans
+/// still open record into the logs as usual.
 pub fn drain() -> Trace {
     collect(true)
 }
@@ -801,63 +837,58 @@ pub fn snapshot() -> Trace {
 }
 
 fn collect(take: bool) -> Trace {
-    flush(); // the caller's own buffered spans must be visible
     let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut counters: std::collections::BTreeMap<String, u64> = DECLARED_COUNTERS
+    let mut counters: BTreeMap<String, u64> = DECLARED_COUNTERS
         .iter()
         .map(|n| (n.to_string(), 0))
         .collect();
-    let mut stats: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut totals: std::collections::BTreeMap<String, (u64, u64)> =
-        std::collections::BTreeMap::new();
+    let mut stats: BTreeMap<String, u64> = BTreeMap::new();
+    let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut dropped = 0u64;
 
-    let mut registry = REGISTRY.lock();
-    for shard in registry.iter() {
-        let mut s = shard.lock();
-        // Live events contribute to the per-name aggregates alongside
-        // whatever eviction already folded into `totals`.
-        for r in &s.events {
-            let agg = totals.entry(r.name.to_string()).or_insert((0, 0));
-            agg.0 += 1;
-            agg.1 += r.dur_ns;
+    for log in LOGS.lock().iter() {
+        let mut log = log.lock();
+        let log = &mut *log;
+        // Undrained records add to whatever eviction already folded.
+        let mut tally = if take {
+            std::mem::take(&mut log.evicted)
+        } else {
+            log.evicted.clone()
+        };
+        dropped += tally.spans.iter().map(|&(_, count, _)| count).sum::<u64>();
+        for r in log.records.range(log.drained..) {
+            match r {
+                Record::Span(s) => {
+                    tally.add_span(s);
+                    spans.push(SpanRecord::clone(s));
+                }
+                Record::Event(e) if e.kind == flightrec::EventKind::Counter => {
+                    tally.add_counter(e.name, e.value);
+                }
+                Record::Event(_) => {}
+            }
+        }
+        for (k, v) in &log.stats {
+            *stats.entry(k.clone()).or_insert(0) += v;
         }
         if take {
-            spans.extend(s.events.drain(..));
-            for (k, v) in s.counters.drain() {
-                *counters.entry(k.to_string()).or_insert(0) += v;
-            }
-            for (k, v) in s.stats.drain() {
-                *stats.entry(k).or_insert(0) += v;
-            }
-            for (k, (c, t)) in s.totals.drain() {
-                let agg = totals.entry(k.to_string()).or_insert((0, 0));
-                agg.0 += c;
-                agg.1 += t;
-            }
-            dropped += std::mem::take(&mut s.dropped);
-        } else {
-            spans.extend(s.events.iter().cloned());
-            for (k, v) in &s.counters {
-                *counters.entry(k.to_string()).or_insert(0) += v;
-            }
-            for (k, v) in &s.stats {
-                *stats.entry(k.clone()).or_insert(0) += v;
-            }
-            for (k, (c, t)) in &s.totals {
-                let agg = totals.entry(k.to_string()).or_insert((0, 0));
-                agg.0 += c;
-                agg.1 += t;
-            }
-            dropped += s.dropped;
+            log.stats.clear();
+            let excess = log
+                .records
+                .len()
+                .saturating_sub(flightrec::DEFAULT_RING_CAPACITY);
+            log.records.drain(..excess);
+            log.drained = log.records.len();
+        }
+        for (k, v) in tally.counters {
+            *counters.entry(k.to_string()).or_insert(0) += v;
+        }
+        for (k, count, ns) in tally.spans {
+            let agg = totals.entry(k.to_string()).or_insert((0, 0));
+            agg.0 += count;
+            agg.1 += ns;
         }
     }
-    if take {
-        // Shards whose thread has exited (only the registry holds them)
-        // have been emptied above; prune them.
-        registry.retain(|s| Arc::strong_count(s) > 1);
-    }
-    drop(registry);
 
     spans.sort_by_key(|s| (s.start_ns, s.id));
     Trace {
@@ -891,6 +922,77 @@ mod tests {
         set_enabled(true);
         let _ = drain();
         guard
+    }
+
+    /// Empty every log, flight window included, so flight-dump counts
+    /// are exact.
+    pub(crate) fn clear_logs() {
+        for log in LOGS.lock().iter() {
+            let mut log = log.lock();
+            log.records.clear();
+            log.drained = 0;
+            log.evicted = Tally::default();
+            log.stats.clear();
+        }
+    }
+
+    #[test]
+    fn spans_of_a_running_thread_are_visible_once() {
+        let _g = exclusive();
+        let (closed_tx, closed_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            drop(span("live"));
+            closed_tx.send(()).unwrap();
+            // Stay alive until the other thread has looked.
+            exit_rx.recv().unwrap();
+        });
+        closed_rx.recv().unwrap();
+        let snap = snapshot();
+        let events: Vec<flightrec::Event> = flightrec::dump()
+            .into_iter()
+            .filter(|e| e.name == "live")
+            .collect();
+        exit_tx.send(()).unwrap();
+        worker.join().unwrap();
+        set_enabled(false);
+        let _ = drain();
+        let spans = snap.spans_named("live");
+        assert_eq!(spans.len(), 1, "snapshot sees a live thread's span");
+        assert_eq!(events.len(), 1, "the span is written once");
+        assert_eq!(events[0].kind, flightrec::EventKind::Span);
+        assert_eq!(events[0].value, spans[0].dur_ns);
+    }
+
+    #[test]
+    fn exited_threads_hand_their_log_on() {
+        let _g = exclusive();
+        set_capacity(8);
+        for _ in 0..64 {
+            std::thread::spawn(|| {
+                for _ in 0..8 {
+                    let _s = span("handoff");
+                    counter("pool.items", 1);
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let snap = snapshot();
+        let flight = flightrec::dump()
+            .iter()
+            .filter(|e| e.kind == flightrec::EventKind::Span && e.name == "handoff")
+            .count();
+        set_enabled(false);
+        let trace = drain();
+        set_capacity(0);
+        let kept = snap.spans_named("handoff").len();
+        assert!(kept <= 16, "exited logs are reused, not kept: {kept} spans");
+        assert!(flight <= 16, "flight window bounded: {flight} span events");
+        let total = trace.span_totals.iter().find(|t| t.name == "handoff").unwrap();
+        assert_eq!(total.count, 512);
+        assert_eq!(trace.spans_named("handoff").len() as u64 + trace.dropped, 512);
+        assert_eq!(trace.counter("pool.items"), 512);
     }
 
     #[test]

@@ -1215,7 +1215,7 @@ fn main() {
     // HTTP request through the daemon.
     let _request_ctx = fgbs::trace::enter_request(fgbs::trace::next_request_id());
     // The flight recorder is armed for every invocation: recording is
-    // bounded (per-thread rings) and cheap enough to leave on — the
+    // bounded (per-thread logs) and cheap enough to leave on — the
     // `obs/flightrec_record` barometer entry gates it under 50 ns/event
     // — so a failure anywhere always has a recent-events window.
     fgbs::trace::flightrec::arm(true);
