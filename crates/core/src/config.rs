@@ -44,8 +44,9 @@ pub struct PipelineConfig {
     /// Seed for measurement noise; identical seeds reproduce runs
     /// bit-for-bit.
     pub noise_seed: u64,
-    /// Worker threads for the shared work pool (GA fitness, distance
-    /// matrices, per-target evaluation). `1` runs everything inline;
+    /// Worker threads for the shared work pool (reference and target
+    /// application runs, wellness and target microbenchmarks, GA
+    /// fitness, distance matrices). `1` runs everything inline;
     /// `0` uses the machine's available parallelism. Results are
     /// identical for every value — parallelism never changes output.
     pub threads: usize,

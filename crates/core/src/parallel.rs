@@ -1,11 +1,16 @@
 //! Parallel evaluation over targets.
 //!
-//! System selection evaluates many candidate machines; every target's
-//! ground-truth run, prediction and reduction factor are independent, so
-//! they fan out over the shared work pool ([`fgbs_pool::WorkPool`], the
-//! same executor the GA and the distance matrix use). Results come back
-//! in target order regardless of scheduling.
+//! System selection evaluates many candidate machines. Nearly all of its
+//! cost is simulation: every target's full application runs (the ground
+//! truth) and every codelet's microbenchmark on every target. Those runs
+//! are independent, so they fan out over the shared work pool
+//! ([`fgbs_pool::WorkPool`], the same executor the GA and the distance
+//! matrix use) as two flat maps, one item per (target, application) and
+//! one per (target, codelet). The cheap per-target assembly of
+//! predictions, reduction factors and aggregates then runs in target
+//! order. Results are identical at every thread count.
 
+use fgbs_extract::AppRun;
 use fgbs_machine::Arch;
 use fgbs_pool::WorkPool;
 
@@ -13,7 +18,7 @@ use crate::appagg::{aggregate_apps, geometric_mean_speedup, AppPrediction};
 use crate::config::PipelineConfig;
 use crate::micras::MicroCache;
 use crate::predict::{predict_with_runs, PredictionOutcome};
-use crate::profile::{profile_target, ProfiledSuite};
+use crate::profile::{target_run, ProfiledSuite};
 use crate::reduce::ReducedSuite;
 use crate::reduction::{reduction_factor, ReductionBreakdown};
 
@@ -32,8 +37,9 @@ pub struct TargetEvaluation {
     pub geomean: (f64, f64),
 }
 
-/// Evaluate the reduced suite on every target, fanned out over the
-/// configured work pool (one work item per target; `cfg.threads` caps the
+/// Evaluate the reduced suite on every target, its simulation fanned out
+/// over the configured work pool (one work item per ground-truth
+/// application run and per microbenchmark; `cfg.threads` caps the
 /// workers). The microbenchmark cache is shared across threads.
 pub fn evaluate_targets(
     suite: &ProfiledSuite,
@@ -54,20 +60,43 @@ pub fn evaluate_targets_with(
     cfg: &PipelineConfig,
     pool: &WorkPool,
 ) -> Vec<TargetEvaluation> {
-    pool.map(targets, |_, target| {
-        let runs = profile_target(suite, target, cfg);
-        let outcome = predict_with_runs(suite, reduced, target, &runs, cache, cfg);
-        let reduction = reduction_factor(suite, reduced, &outcome, target, cache, cfg);
-        let apps = aggregate_apps(suite, &outcome, target, cfg);
-        let geomean = geometric_mean_speedup(&apps);
-        TargetEvaluation {
-            target: target.name.clone(),
-            outcome,
-            reduction,
-            apps,
-            geomean,
-        }
-    })
+    let n_apps = suite.apps.len();
+    let mut runs = pool
+        .map_indexed(targets.len() * n_apps, |k| {
+            target_run(suite, &targets[k / n_apps], k % n_apps, cfg)
+        })
+        .into_iter();
+    // Every codelet's microbenchmark on every target: the representatives
+    // for the predictions, all of them for the reduction factors.
+    let n = suite.len();
+    pool.for_each_indexed(targets.len() * n, |k| {
+        let idx = k % n;
+        cache.measure(
+            idx,
+            &suite.codelets[idx].micro,
+            &targets[k / n],
+            cfg.noise_seed,
+            cfg.micro_min_seconds,
+            cfg.micro_min_invocations,
+        );
+    });
+    targets
+        .iter()
+        .map(|target| {
+            let runs: Vec<AppRun> = runs.by_ref().take(n_apps).collect();
+            let outcome = predict_with_runs(suite, reduced, target, &runs, cache, cfg);
+            let reduction = reduction_factor(suite, reduced, &outcome, target, cache, cfg);
+            let apps = aggregate_apps(suite, &outcome, target, cfg);
+            let geomean = geometric_mean_speedup(&apps);
+            TargetEvaluation {
+                target: target.name.clone(),
+                outcome,
+                reduction,
+                apps,
+                geomean,
+            }
+        })
+        .collect()
 }
 
 /// Rank targets by predicted geometric-mean speedup, best first.
@@ -87,8 +116,9 @@ pub fn rank_targets(evals: &[TargetEvaluation]) -> Vec<(String, f64, f64)> {
 mod tests {
     use super::*;
     use crate::config::KChoice;
-    use crate::profile::profile_reference;
-    use crate::reduce::reduce_cached;
+    use crate::persist::encode_profiled_suite;
+    use crate::profile::{profile_reference, profile_target};
+    use crate::reduce::{reduce_cached, wellness};
     use fgbs_machine::PARK_SCALE;
     use fgbs_suites::{nr_suite, Class};
 
@@ -109,6 +139,34 @@ mod tests {
             let runs = profile_target(&suite, t, &cfg);
             let seq = predict_with_runs(&suite, &reduced, t, &runs, &cache, &cfg);
             assert_eq!(seq.predictions, e.outcome.predictions);
+        }
+    }
+
+    /// Every pooled stage gives the same bits at any thread count.
+    #[test]
+    fn pooled_stages_are_bitwise_identical_across_thread_counts() {
+        let apps = nr_suite(Class::Test);
+        let targets = Arch::targets_scaled();
+        let run = |threads: usize| {
+            let cfg = PipelineConfig::default().with_threads(threads);
+            let suite = profile_reference(&apps, &cfg);
+            let cache = MicroCache::new();
+            let well = wellness(&suite, &cfg, &cache);
+            let truth = format!("{:?}", profile_target(&suite, &targets[0], &cfg));
+            let reduced = reduce_cached(&suite, &cfg, &cache);
+            // Debug prints every f64 in its shortest round-trip form.
+            let evals = format!(
+                "{:?}",
+                evaluate_targets(&suite, &reduced, &targets, &cache, &cfg)
+            );
+            (encode_profiled_suite(&suite), well, truth, evals)
+        };
+        let serial = run(1);
+        for threads in [2, 8] {
+            assert!(
+                run(threads) == serial,
+                "{threads} threads moved an output bit"
+            );
         }
     }
 

@@ -108,12 +108,13 @@ fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite 
         stage_span.arg_u64("req", cfg.request_id);
     }
     let arch = &cfg.reference;
+    // One application per work item: each runs on its own machine with a
+    // seed derived from its index.
     let runs: Vec<AppRun> = {
         let _run_span = fgbs_trace::span("profile.run");
-        apps.iter()
-            .enumerate()
-            .map(|(i, app)| run_application(app, arch, cfg.noise_seed ^ (i as u64) << 8))
-            .collect()
+        cfg.pool().map(apps, |i, app| {
+            run_application(app, arch, cfg.noise_seed ^ (i as u64) << 8)
+        })
     };
 
     let mut codelets = Vec::new();
@@ -164,16 +165,29 @@ fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite 
 }
 
 /// Ground-truth target run: execute every application in full on `target`
-/// (this is exactly what the reduced suite is meant to replace).
+/// (this is exactly what the reduced suite is meant to replace), one
+/// application per work item on the configured pool.
 pub fn profile_target(suite: &ProfiledSuite, target: &Arch, cfg: &PipelineConfig) -> Vec<AppRun> {
+    cfg.pool()
+        .map_indexed(suite.apps.len(), |app| target_run(suite, target, app, cfg))
+}
+
+/// The ground-truth run of application `app` on `target`, in its own
+/// `profile.target` span.
+pub(crate) fn target_run(
+    suite: &ProfiledSuite,
+    target: &Arch,
+    app: usize,
+    cfg: &PipelineConfig,
+) -> AppRun {
     let mut span = fgbs_trace::span("profile.target");
-    span.arg_str("target", target.name.clone());
-    suite
-        .apps
-        .iter()
-        .enumerate()
-        .map(|(i, app)| run_application(app, target, cfg.noise_seed ^ 0xA11 ^ ((i as u64) << 8)))
-        .collect()
+    span.arg_str("target", target.name.as_str());
+    span.arg_u64("app", app as u64);
+    run_application(
+        &suite.apps[app],
+        target,
+        cfg.noise_seed ^ 0xA11 ^ ((app as u64) << 8),
+    )
 }
 
 #[cfg(test)]

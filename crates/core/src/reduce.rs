@@ -56,23 +56,19 @@ impl ReducedSuite {
 /// Which codelets are *well-behaved*: their standalone microbenchmark,
 /// run on the reference architecture, reproduces the in-app time within
 /// 10 %. Mask-independent, so computed once and reused across sweeps.
+/// One codelet per work item on the configured pool.
 pub fn wellness(suite: &ProfiledSuite, cfg: &PipelineConfig, cache: &MicroCache) -> Vec<bool> {
-    suite
-        .codelets
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let micro = cache.measure(
-                i,
-                &c.micro,
-                &cfg.reference,
-                cfg.noise_seed,
-                cfg.micro_min_seconds,
-                cfg.micro_min_invocations,
-            );
-            behaves_well(micro.median_cycles, c.tref_cycles)
-        })
-        .collect()
+    cfg.pool().map(&suite.codelets, |i, c| {
+        let micro = cache.measure(
+            i,
+            &c.micro,
+            &cfg.reference,
+            cfg.noise_seed,
+            cfg.micro_min_seconds,
+            cfg.micro_min_invocations,
+        );
+        behaves_well(micro.median_cycles, c.tref_cycles)
+    })
 }
 
 /// Step D's selection process over an arbitrary partition: pick the

@@ -19,8 +19,10 @@ pub struct AccessOutcome {
 
 #[derive(Debug, Clone)]
 struct Level {
-    /// `sets[s]` holds up to `assoc` line addresses, most recent first.
-    sets: Vec<Vec<u64>>,
+    /// `n_sets` runs of `assoc` tags, one run per set, most recently
+    /// used first. A tag is its line address plus one, so a zeroed way is
+    /// empty, and a set's empty ways always trail its occupied ones.
+    tags: Vec<u64>,
     assoc: usize,
     set_mask: u64,
     hits: u64,
@@ -35,7 +37,7 @@ impl Level {
         // Round down to a power of two so set indexing is a mask.
         n_sets = 1 << (63 - n_sets.leading_zeros());
         Level {
-            sets: vec![Vec::new(); n_sets as usize],
+            tags: vec![0; (n_sets * assoc) as usize],
             assoc: assoc as usize,
             set_mask: n_sets - 1,
             hits: 0,
@@ -46,28 +48,25 @@ impl Level {
     /// Returns true on hit; on miss the line is inserted (LRU evict).
     #[inline]
     fn access(&mut self, line_addr: u64) -> bool {
-        let set = ((line_addr) & self.set_mask) as usize;
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == line_addr) {
+        let tag = line_addr + 1;
+        let start = (line_addr & self.set_mask) as usize * self.assoc;
+        let ways = &mut self.tags[start..start + self.assoc];
+        if let Some(pos) = ways.iter().position(|&t| t == tag) {
             // Move to front (most-recently-used).
-            let t = ways.remove(pos);
-            ways.insert(0, t);
+            ways[..=pos].rotate_right(1);
             self.hits += 1;
             true
         } else {
-            ways.insert(0, line_addr);
-            if ways.len() > self.assoc {
-                ways.pop();
-            }
+            // The last way (empty, or the LRU line) is evicted.
+            ways.rotate_right(1);
+            ways[0] = tag;
             self.misses += 1;
             false
         }
     }
 
     fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.tags.fill(0);
     }
 }
 
@@ -95,19 +94,16 @@ impl CacheSim {
     ///
     /// Accesses never straddle lines in practice (arrays are line-aligned
     /// and elements are power-of-two sized), but if one does, the worst
-    /// outcome of the spanned lines is reported.
+    /// outcome of the spanned lines is reported. The lines are counted
+    /// from the offset within the first one, so an access ending past
+    /// `u64::MAX` touches the lines after it rather than wrapping round.
     #[inline]
     pub fn access(&mut self, addr: u64, size: u64) -> AccessOutcome {
-        let first = addr >> LINE.trailing_zeros();
-        let last = (addr + size.max(1) - 1) >> LINE.trailing_zeros();
-        let mut deepest = 0usize;
-        let mut line = first;
-        loop {
-            deepest = deepest.max(self.access_line(line));
-            if line == last {
-                break;
-            }
-            line += 1;
+        let first = addr / LINE;
+        let spanned = (addr % LINE + size.max(1) - 1) / LINE;
+        let mut deepest = self.access_line(first);
+        for k in 1..=spanned {
+            deepest = deepest.max(self.access_line(first + k));
         }
         AccessOutcome { level: deepest }
     }
@@ -148,7 +144,8 @@ impl CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::Arch;
+    use crate::arch::{Arch, PARK_SCALE};
+    use proptest::prelude::*;
 
     fn sim() -> CacheSim {
         CacheSim::new(&Arch::nehalem())
@@ -248,5 +245,185 @@ mod tests {
             c.access(i * 4096, 8);
         }
         assert!(c.access(hot, 8).level > 0);
+    }
+
+    #[test]
+    fn access_ending_past_the_address_space_touches_two_lines() {
+        let mut c = sim();
+        assert_eq!(c.access(u64::MAX - 3, 8).level, c.levels());
+        assert_eq!(c.stats()[0], (0, 2), "one L1 miss per spanned line");
+        assert_eq!(c.access(u64::MAX - 3, 8).level, 0);
+        assert_eq!(c.stats()[0], (2, 2));
+    }
+
+    /// A list-per-set LRU level, moved to front with `remove` +
+    /// `insert(0, ..)`: the reference the flat layout must match access
+    /// for access.
+    #[derive(Debug, Clone)]
+    struct NaiveLevel {
+        /// `sets[s]` holds up to `assoc` line addresses, most recent first.
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        set_mask: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl NaiveLevel {
+        fn new(cfg: &CacheLevel) -> NaiveLevel {
+            let lines = (cfg.size / LINE).max(1);
+            let assoc = cfg.assoc.max(1) as u64;
+            let mut n_sets = (lines / assoc).max(1);
+            n_sets = 1 << (63 - n_sets.leading_zeros());
+            NaiveLevel {
+                sets: vec![Vec::new(); n_sets as usize],
+                assoc: assoc as usize,
+                set_mask: n_sets - 1,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, line_addr: u64) -> bool {
+            let set = (line_addr & self.set_mask) as usize;
+            let ways = &mut self.sets[set];
+            if let Some(pos) = ways.iter().position(|&t| t == line_addr) {
+                let t = ways.remove(pos);
+                ways.insert(0, t);
+                self.hits += 1;
+                true
+            } else {
+                ways.insert(0, line_addr);
+                if ways.len() > self.assoc {
+                    ways.pop();
+                }
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    /// [`CacheSim`] over [`NaiveLevel`]s, walking the lines from `addr`
+    /// to `addr + size - 1` (which must not wrap).
+    struct NaiveSim {
+        levels: Vec<NaiveLevel>,
+    }
+
+    impl NaiveSim {
+        fn new(arch: &Arch) -> NaiveSim {
+            NaiveSim {
+                levels: arch.caches.iter().map(NaiveLevel::new).collect(),
+            }
+        }
+
+        fn access(&mut self, addr: u64, size: u64) -> usize {
+            let first = addr >> LINE.trailing_zeros();
+            let last = (addr + size.max(1) - 1) >> LINE.trailing_zeros();
+            (first..=last)
+                .map(|line| {
+                    self.levels
+                        .iter_mut()
+                        .position(|l| l.access(line))
+                        .unwrap_or(self.levels.len())
+                })
+                .max()
+                .unwrap_or(0)
+        }
+
+        fn stats(&self) -> Vec<(u64, u64)> {
+            self.levels.iter().map(|l| (l.hits, l.misses)).collect()
+        }
+
+        fn flush(&mut self) {
+            for l in &mut self.levels {
+                l.sets.iter_mut().for_each(Vec::clear);
+            }
+        }
+
+        fn reset_stats(&mut self) {
+            for l in &mut self.levels {
+                l.hits = 0;
+                l.misses = 0;
+            }
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Access(u64, u64),
+        Flush,
+        ResetStats,
+    }
+
+    /// A seeded stream of strided, random (some unaligned, so straddling
+    /// lines) and set-conflicting accesses, with the odd flush and stats
+    /// reset in between.
+    fn stream(seed: u64, len: usize) -> Vec<Step> {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 11
+        };
+        let stride = [8u64, 64, 136, 4096 + 64, 1 << 15][next() as usize % 5];
+        let footprint = 1u64 << (12 + next() % 12);
+        let base = next() % (1 << 40);
+        let mut cursor = 0u64;
+        (0..len)
+            .map(|_| {
+                let r = next();
+                match r % 200 {
+                    0 => Step::Flush,
+                    1 => Step::ResetStats,
+                    2..=69 => {
+                        cursor = (cursor + stride) % footprint;
+                        Step::Access(base + cursor, 8)
+                    }
+                    70..=129 => Step::Access(
+                        base + (r >> 8) % footprint,
+                        [1, 4, 8, 16][(r >> 3) as usize % 4],
+                    ),
+                    // 24 lines 256 KiB apart share a set in every level
+                    // of up to 4096 sets: more lines than any set has ways.
+                    _ => Step::Access(base + ((r >> 8) % 24) * (1 << 18), 8),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flat_sets_match_the_list_oracle(seed in any::<u64>(), len in 1usize..4000) {
+            let steps = stream(seed, len);
+            for full in Arch::table1() {
+                for arch in [full.clone().scaled(PARK_SCALE), full] {
+                    let mut flat = CacheSim::new(&arch);
+                    let mut naive = NaiveSim::new(&arch);
+                    for (i, step) in steps.iter().enumerate() {
+                        match *step {
+                            Step::Access(addr, size) => prop_assert_eq!(
+                                flat.access(addr, size).level,
+                                naive.access(addr, size),
+                                "{} step {i}: access({addr:#x}, {size})",
+                                arch.name
+                            ),
+                            Step::Flush => {
+                                flat.flush();
+                                naive.flush();
+                            }
+                            Step::ResetStats => {
+                                prop_assert_eq!(flat.stats(), naive.stats(), "{} step {i}", arch.name);
+                                flat.reset_stats();
+                                naive.reset_stats();
+                            }
+                        }
+                    }
+                    prop_assert_eq!(flat.stats(), naive.stats(), "{}", arch.name);
+                }
+            }
+        }
     }
 }

@@ -101,6 +101,15 @@ impl Machine {
         // Iterative walk over the outer dimensions.
         let mut idx = vec![0u64; dims.saturating_sub(1)];
         let in_order = self.arch.in_order;
+        // Invariant accesses, and the hot loop's accesses with their
+        // current address and inner stride (addresses are reset at every
+        // innermost entry).
+        let (invariant, hot): (Vec<&ResolvedAccess>, Vec<&ResolvedAccess>) =
+            accesses.iter().partition(|a| a.invariant);
+        let mut cur: Vec<(u64, i64)> = hot
+            .iter()
+            .map(|a| (0, *a.dim_strides.last().unwrap_or(&0)))
+            .collect();
         loop {
             // Resolve the innermost trip for the current outer indices.
             let inner_trip = match trips[dims - 1] {
@@ -109,7 +118,7 @@ impl Machine {
             };
 
             // Touch invariant accesses once per innermost entry.
-            for a in accesses.iter().filter(|a| a.invariant) {
+            for a in &invariant {
                 let addr = addr_at(a, &idx, 0);
                 let lvl = self.cache.access(addr, a.size).level;
                 cycles += pen_rand[lvl];
@@ -120,19 +129,10 @@ impl Machine {
                 }
             }
 
-            // Start addresses and inner strides for the hot loop.
-            let mut cur: Vec<(u64, i64)> = accesses
-                .iter()
-                .filter(|a| !a.invariant)
-                .map(|a| {
-                    (
-                        addr_at(a, &idx, 0),
-                        *a.dim_strides.last().unwrap_or(&0),
-                    )
-                })
-                .collect();
-            let hot: Vec<&ResolvedAccess> =
-                accesses.iter().filter(|a| !a.invariant).collect();
+            // Start addresses for the hot loop.
+            for ((addr, _), a) in cur.iter_mut().zip(&hot) {
+                *addr = addr_at(a, &idx, 0);
+            }
 
             for _ in 0..inner_trip {
                 let mut pen = 0.0f64;
@@ -141,7 +141,8 @@ impl Machine {
                         rng = rng
                             .wrapping_mul(6364136223846793005)
                             .wrapping_add(1442695040888963407);
-                        a.base + ((rng >> 33) % span.max(1)) * a.elem_bytes
+                        let off = (rng >> 33) % span.max(1);
+                        a.base.wrapping_add(off.wrapping_mul(a.elem_bytes))
                     } else {
                         let (addr, stride) = &mut cur[j];
                         let here = *addr;
@@ -549,6 +550,30 @@ mod tests {
         let s = cyc(&seq);
         let r = cyc(&rnd);
         assert!(r > 1.5 * s, "random {} vs streaming {}", r, s);
+    }
+
+    #[test]
+    fn arrays_based_at_the_top_of_the_address_space_wrap() {
+        let n = 64u64;
+        let c = CodeletBuilder::new("wrap", "t")
+            .array("x", Precision::F64)
+            .array("y", Precision::F64)
+            .param_loop("n")
+            .update_acc("s", BinOp::Add, |b| b.load("x", &[1]) + b.load_random("y", n))
+            .build();
+        let arch = Arch::nehalem();
+        let k = compile(&c, &arch.target(), CompileMode::InApp);
+        let mut b = BindingBuilder::new(0)
+            .vector(n, 8)
+            .vector(n, 8)
+            .param(n)
+            .build_for(&c);
+        for a in &mut b.arrays {
+            a.base = u64::MAX - 3;
+        }
+        let meas = Machine::new(arch).run(&k, &b);
+        assert_eq!(meas.counters.iterations, n as f64);
+        assert!(meas.cycles.is_finite() && meas.cycles > 0.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The shared work pool: one parallel executor for every hot loop.
 //!
-//! GA fitness evaluation, distance-matrix construction and per-target
-//! pipeline evaluation all reduce to the same shape — *map a pure function
-//! over an index range* — so they share this one executor instead of each
-//! spawning raw threads.
+//! The simulator's application and microbenchmark runs, GA fitness
+//! evaluation and distance-matrix construction all reduce to the same
+//! shape — *map a pure function over an index range* — so they share this
+//! one executor instead of each spawning raw threads.
 //!
 //! # Design
 //!

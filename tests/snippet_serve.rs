@@ -90,6 +90,41 @@ fn clean_pack_ingests_lists_and_predicts_deterministically() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Nothing range-checks a pack's array base addresses, so a pack may
+/// place its arrays at the top of the address space. It still ingests
+/// and predicts: the simulated addresses wrap instead of overflowing or
+/// walking ~2^58 cache lines.
+#[test]
+fn pack_based_at_the_top_of_the_address_space_predicts() {
+    let dir = scratch("wrap");
+    let (_store, service) = service(&dir);
+    let apps = bigdata_suite(Class::Test);
+    let mut pack = build_pack(
+        "bigdata-wrap",
+        "bigdata",
+        "class=test",
+        &apps,
+        &WorkPool::serial(),
+    )
+    .unwrap();
+    for ctx in pack.snippets.iter_mut().flat_map(|s| &mut s.contexts) {
+        for a in &mut ctx.arrays {
+            a.base = u64::MAX - 3;
+        }
+    }
+    let bytes = encode_pack(&pack);
+    let id = verify_pack(&bytes).unwrap().id;
+
+    let resp = service.handle(&post_snippets(bytes));
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    let q = [("snippet", id.as_str()), ("target", "atom"), ("k", "3")];
+    let resp = service.handle(&get("/predict", &q));
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert!(String::from_utf8_lossy(&resp.body).contains("median_error_pct"));
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A one-byte-corrupted pack is rejected with a structured 400, the
 /// bytes land in quarantine (never in the published object tree), and
 /// the pack can never be predicted over.
