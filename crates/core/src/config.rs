@@ -22,7 +22,9 @@ pub enum KChoice {
     },
 }
 
-/// Configuration shared by every pipeline stage.
+/// Configuration shared by every pipeline stage. The request a run
+/// serves is not part of it: stages read the caller's ambient trace
+/// scope ([`fgbs_trace::enter_request`]) instead.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// The reference architecture (the paper profiles on Nehalem).
@@ -58,18 +60,13 @@ pub struct PipelineConfig {
     /// (the default) keeps every stage purely in-memory.
     pub store: Option<Arc<Store>>,
     /// Optional wall-clock budget for the whole pipeline run. Checked by
-    /// the fallible `try_*` stage entry points at stage boundaries (and
-    /// per K inside sweeps); once expired they return
+    /// the fallible entry points [`crate::try_reduce_cached`],
+    /// [`crate::try_predict`] and [`crate::try_sweep_k`] at stage
+    /// boundaries (and per K inside sweeps); once expired they return
     /// [`crate::PipelineError::DeadlineExceeded`] instead of starting
-    /// more work. The infallible entry points ignore it.
+    /// more work. Profiling (Steps A–B) has no fallible entry point, and
+    /// the infallible entry points ignore the deadline.
     pub deadline: Option<fgbs_fault::Deadline>,
-    /// The request this run executes on behalf of (0 = none). Stage
-    /// entry points install it as the ambient trace request id
-    /// ([`fgbs_trace::enter_request`]) and attach it to their stage
-    /// spans, so every span, counter and flight-recorder event the run
-    /// emits — including on pool workers — is attributable to the
-    /// originating HTTP request or CLI invocation.
-    pub request_id: u64,
 }
 
 impl Default for PipelineConfig {
@@ -92,7 +89,6 @@ impl Default for PipelineConfig {
             threads: 1,
             store: None,
             deadline: None,
-            request_id: 0,
         }
     }
 }
@@ -146,28 +142,6 @@ impl PipelineConfig {
     pub fn with_deadline(mut self, deadline: fgbs_fault::Deadline) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Same configuration bound to a request id (see
-    /// [`PipelineConfig::request_id`]).
-    pub fn with_request_id(mut self, request_id: u64) -> Self {
-        self.request_id = request_id;
-        self
-    }
-
-    /// Install this run's request id as the thread's ambient trace
-    /// context. Stage entry points hold the guard for their whole
-    /// scope; the pool re-enters the id on workers. A zero id (the
-    /// default) leaves whatever ambient id the caller installed —
-    /// embedded services set the id at the request boundary rather
-    /// than per config.
-    #[must_use = "the request id is uninstalled when the guard drops"]
-    pub fn enter_request(&self) -> fgbs_trace::RequestGuard {
-        if self.request_id != 0 {
-            fgbs_trace::enter_request(self.request_id)
-        } else {
-            fgbs_trace::enter_request(fgbs_trace::current_request_id())
-        }
     }
 
     /// Fail with [`crate::PipelineError::DeadlineExceeded`] when the

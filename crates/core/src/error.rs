@@ -1,12 +1,15 @@
 //! Typed pipeline errors for the fallible (`try_*`) stage entry points.
 //!
-//! The infallible entry points ([`crate::profile_reference`],
-//! [`crate::reduce`], [`crate::predict`], [`crate::sweep_k`]) keep their
-//! panic-free, always-compute contract for batch use. Long-running
-//! callers (the serve daemon) use the `try_*` variants instead, which
-//! check the request deadline at stage boundaries and validate numeric
-//! inputs, so a hostile request degrades into a structured error — a 503
-//! or 500 at the HTTP layer — rather than a hang or a worker panic.
+//! The infallible entry points ([`crate::reduce`], [`crate::predict`],
+//! [`crate::sweep_k`]) keep their panic-free, always-compute contract
+//! for batch use. Long-running callers (the serve daemon) use
+//! [`crate::try_reduce_cached`], [`crate::try_predict`] and
+//! [`crate::try_sweep_k`] instead, which check the request deadline at
+//! stage boundaries and validate numeric inputs, so a hostile request
+//! degrades into a structured error — a 503 or 500 at the HTTP layer —
+//! rather than a hang or a worker panic. Profiling
+//! ([`crate::profile_reference`]) has no fallible variant: it always
+//! runs to completion, and the daemon memoises it per suite.
 
 use std::fmt;
 

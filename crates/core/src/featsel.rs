@@ -69,12 +69,8 @@ pub fn select_features_ga(
     cfg: &PipelineConfig,
 ) -> FeatureSelection {
     assert!(!targets.is_empty(), "need at least one training target");
-    let _request_ctx = cfg.enter_request();
     let mut stage_span = fgbs_trace::span("stage.featsel");
     stage_span.arg_u64("targets", targets.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
     stage_span.arg_u64("population", ga.population as u64);
     stage_span.arg_u64("generations", ga.generations as u64);
     let cache = MicroCache::new();

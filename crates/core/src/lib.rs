@@ -71,9 +71,7 @@ pub use persist::{
 pub use predict::{
     model_matrix, predict, predict_with_runs, try_predict, CodeletPrediction, PredictionOutcome,
 };
-pub use profile::{
-    profile_reference, profile_target, try_profile_reference, CodeletInfo, ProfiledSuite,
-};
+pub use profile::{profile_reference, profile_target, CodeletInfo, ProfiledSuite};
 pub use reduce::{
     reduce, reduce_cached, reduce_with_observations, try_reduce_cached, wellness, Cluster,
     ReducedSuite,

@@ -109,12 +109,8 @@ pub fn predict_with_runs(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
-    let _request_ctx = cfg.enter_request();
     let mut stage_span = fgbs_trace::span("stage.predict");
     stage_span.arg_u64("representatives", reduced.clusters.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
     stage_span.arg_u64("codelets", suite.len() as u64);
     // Measure each representative's standalone microbenchmark on the
     // target (the only target-side cost of the method).

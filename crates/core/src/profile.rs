@@ -86,27 +86,10 @@ pub fn profile_reference(apps: &[Application], cfg: &PipelineConfig) -> Profiled
     suite
 }
 
-/// Deadline-aware [`profile_reference`]: checks the request budget at
-/// the stage boundary (before and after the `stage.profile` failpoint)
-/// and refuses to start over-budget work.
-pub fn try_profile_reference(
-    apps: &[Application],
-    cfg: &PipelineConfig,
-) -> Result<ProfiledSuite, crate::PipelineError> {
-    cfg.check_deadline("profile")?;
-    fgbs_fault::maybe_delay("stage.profile");
-    cfg.check_deadline("profile")?;
-    Ok(profile_reference(apps, cfg))
-}
-
 /// The uncached Steps A + B.
 fn compute_profile(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite {
-    let _request_ctx = cfg.enter_request();
     let mut stage_span = fgbs_trace::span("stage.profile");
     stage_span.arg_u64("apps", apps.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
     let arch = &cfg.reference;
     // One application per work item: each runs on its own machine with a
     // seed derived from its index.

@@ -206,12 +206,8 @@ pub fn reduce_with_observations(
     assert!(!suite.is_empty(), "cannot reduce an empty suite");
     assert_eq!(raw.nrows(), suite.len(), "one observation row per codelet");
 
-    let _request_ctx = cfg.enter_request();
     let mut stage_span = fgbs_trace::span("stage.reduce");
     stage_span.arg_u64("codelets", suite.len() as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
 
     let data = normalize(raw);
     let dist = DistanceMatrix::euclidean_with(&data, &cfg.pool());

@@ -54,12 +54,8 @@ pub fn try_sweep_k(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> Result<Vec<SweepPoint>, crate::PipelineError> {
-    let _request_ctx = cfg.enter_request();
     let mut stage_span = fgbs_trace::span("stage.sweep");
     stage_span.arg_u64("k_max", k_max as u64);
-    if cfg.request_id != 0 {
-        stage_span.arg_u64("req", cfg.request_id);
-    }
     cfg.check_deadline("sweep")?;
     fgbs_fault::maybe_delay("stage.sweep");
     let runs: Vec<AppRun> = profile_target(suite, target, cfg);

@@ -12,11 +12,10 @@
 //! 4. Enforce read/write deadlines (`408`, idle close, poisoning).
 //! 5. Submit the turn's requests: each passes **admission control**
 //!    (shed with a `503` when `queue depth × EWMA endpoint latency`
-//!    already exceeds its deadline), then singles go to the executor
-//!    directly while a turn with several requests is **batched** into
-//!    one executor job that fans the whole group over a single
-//!    [`WorkPool`] pass — concurrent `/predict` misses for different
-//!    suites share one parallel sweep instead of queueing serially.
+//!    already exceeds its deadline, the depth counting every request
+//!    queued or running), then goes to the executor as its own job. A
+//!    store hit is answered as soon as its own job finishes, whatever
+//!    else arrived in the same turn.
 //!
 //! Shutdown is an atomic flag plus a wake-fd signal — no self-connect.
 //! The executor drains already-dispatched requests and their responses
@@ -31,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fgbs_pool::{Executor, WorkPool};
+use fgbs_pool::Executor;
 use fgbs_reactor::{Interest, Poller, Waker, WAKE_TOKEN};
 use parking_lot::Mutex;
 
@@ -213,7 +212,7 @@ impl Loop {
             // observe the close.
             _ => Step::Wait,
         };
-        self.apply(token, step, now, dispatches);
+        self.apply(token, step, dispatches);
     }
 
     fn drain_completions(&mut self, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
@@ -237,7 +236,7 @@ impl Loop {
         };
         reg.conn.on_response(response, now);
         let step = reg.conn.on_writable(now);
-        self.apply(token, step, now, dispatches);
+        self.apply(token, step, dispatches);
     }
 
     fn tick(&mut self, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
@@ -256,12 +255,11 @@ impl Loop {
                 Step::Wait if reg.conn.state() == State::Writing => reg.conn.on_writable(now),
                 s => s,
             };
-            self.apply(token, step, now, dispatches);
+            self.apply(token, step, dispatches);
         }
     }
 
-    fn apply(&mut self, token: u64, step: Step, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
-        let _ = now;
+    fn apply(&mut self, token: u64, step: Step, dispatches: &mut Vec<(u64, Request)>) {
         match step {
             Step::Wait => self.sync_interest(token),
             Step::Dispatch(request) => {
@@ -304,48 +302,28 @@ impl Loop {
         }
     }
 
-    /// Submit the turn's parsed requests. Each is admission-checked
-    /// against the current queue depth; survivors go to the executor —
-    /// one job for a single request, one *batched* job (a shared
-    /// [`WorkPool`] pass) when the turn produced several.
+    /// Submit the turn's parsed requests, in arrival order. Each is
+    /// admission-checked against the requests already queued or running;
+    /// a survivor goes to the executor as its own job.
     fn submit(&mut self, mut dispatches: Vec<(u64, Request)>, now: Instant) {
         while !dispatches.is_empty() {
-            let round = std::mem::take(&mut dispatches);
-            let mut jobs: Vec<(u64, Request)> = Vec::with_capacity(round.len());
-            for (token, request) in round {
+            for (token, request) in std::mem::take(&mut dispatches) {
                 let depth = self.exec.submitted().saturating_sub(self.exec.completed());
-                match self.service.admission_check(&request, depth) {
-                    Some(shed) => {
-                        // Answer right here — shedding must not consume
-                        // the queue capacity it is protecting. Writing
-                        // the 503 may surface the connection's next
-                        // pipelined request; it joins `dispatches` for
-                        // the next round of this loop.
-                        self.complete(token, shed, now, &mut dispatches);
-                    }
-                    None => jobs.push((token, request)),
+                if let Some(shed) = self.service.admission_check(&request, depth) {
+                    // Answer right here — shedding must not consume the
+                    // queue capacity it is protecting. Writing the 503
+                    // may surface the connection's next pipelined
+                    // request; it joins `dispatches` for the next round
+                    // of this loop.
+                    self.complete(token, shed, now, &mut dispatches);
+                    continue;
                 }
-            }
-            if jobs.is_empty() {
-                continue;
-            }
-            self.service.note_batch(jobs.len() as u64);
-            let svc = Arc::clone(&self.service);
-            let completions = Arc::clone(&self.completions);
-            let waker = self.waker.clone();
-            if jobs.len() == 1 {
-                let (token, request) = jobs.pop().expect("len checked");
+                let svc = Arc::clone(&self.service);
+                let completions = Arc::clone(&self.completions);
+                let waker = self.waker.clone();
                 self.exec.submit(move || {
                     let response = guarded_handle(&svc, &request);
                     completions.lock().push((token, response));
-                    let _ = waker.wake();
-                });
-            } else {
-                self.exec.submit(move || {
-                    let pool = WorkPool::new(0);
-                    let results =
-                        pool.map(&jobs, |_, (token, request)| (*token, guarded_handle(&svc, request)));
-                    completions.lock().extend(results);
                     let _ = waker.wake();
                 });
             }

@@ -5,9 +5,9 @@
 //! [`std::net::TcpListener`], driven by a readiness-driven event loop
 //! (`fgbs-reactor` over epoll, so the server runs on Linux only) with
 //! per-connection state machines: HTTP/1.1 keep-alive and pipelining,
-//! per-connection request budgets, admission-controlled load shedding,
-//! and cross-key request batching onto a shared
-//! [`fgbs_pool::WorkPool`] pass. Endpoints:
+//! per-connection request budgets and admission-controlled load
+//! shedding. Each admitted request is one job on a
+//! [`fgbs_pool::Executor`]. Endpoints:
 //!
 //! | endpoint         | purpose                                        |
 //! |------------------|------------------------------------------------|
@@ -27,7 +27,9 @@
 //! [`Service`] for the full request lifecycle.
 //!
 //! Every request gets a monotonically increasing **request id**,
-//! installed as the thread's ambient trace context and echoed as an
+//! installed by [`Service::handle`] as the thread's ambient trace
+//! context (the only way it travels: pipeline stages read it there and
+//! the work pool re-enters it on its workers) and echoed as an
 //! `x-fgbs-request-id` response header; spans, counters and
 //! flight-recorder events carry it, so one failing request can be
 //! picked out of `/trace` or a diagnostic dump
@@ -326,13 +328,6 @@ mod tests {
             .admission_check(&req("/health?deadline_ms=1"), 10)
             .is_none());
         assert_eq!(service.shed(), 1, "only the doomed /predict shed");
-
-        // Batch accounting: singles don't count, groups do.
-        service.note_batch(1);
-        service.note_batch(3);
-        service.note_batch(2);
-        assert_eq!(service.batches(), 2);
-        assert_eq!(service.batched_requests(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

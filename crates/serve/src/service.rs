@@ -3,8 +3,8 @@
 //!
 //! # Request lifecycle
 //!
-//! 1. The connection worker parses the request and calls
-//!    [`Service::handle`].
+//! 1. The event loop parses the request and an executor worker calls
+//!    [`Service::handle`], which assigns its request id.
 //! 2. The router resolves the endpoint and canonicalises its parameters
 //!    (so `?target=ATOM` and `?target=atom` share one cache entry).
 //! 3. Cacheable endpoints derive a response key and consult the store:
@@ -27,9 +27,9 @@ use fgbs_core::{
     profile_reference, try_predict, try_reduce_cached, try_sweep_k, KChoice, MicroCache,
     PipelineConfig, PipelineError, ProfiledSuite,
 };
+use fgbs_extract::{Application, ApplicationBuilder};
 use fgbs_fault::Deadline;
 use fgbs_machine::{Arch, PARK_SCALE};
-use fgbs_extract::ApplicationBuilder;
 use fgbs_snippet::{ingest_pack, load_pack, Pack, RegistryError};
 use fgbs_store::{ArtifactKind, SingleFlight, StableHasher, Store};
 use fgbs_suites::{bigdata_suite, nas_suite, nr_suite, Class};
@@ -45,6 +45,35 @@ struct SuiteSpec {
     kind: &'static str,
     class_name: &'static str,
     class: Class,
+}
+
+/// What a pipeline request profiles: a first-party suite, or an
+/// ingested snippet pack (`/predict?snippet=ID`).
+enum Subject {
+    Suite(SuiteSpec),
+    Pack { id: String, pack: Pack },
+}
+
+impl Subject {
+    /// The key of the in-memory profile memo. A pack is keyed by its
+    /// content-addressed id, so a re-uploaded edit profiles afresh.
+    fn memo_key(&self) -> String {
+        match self {
+            Subject::Suite(spec) => format!("{}/{}", spec.kind, spec.class_name),
+            Subject::Pack { id, .. } => format!("snippet/{id}"),
+        }
+    }
+
+    fn applications(&self) -> Vec<Application> {
+        match self {
+            Subject::Suite(spec) => match spec.kind {
+                "nr" => nr_suite(spec.class),
+                "bigdata" => bigdata_suite(spec.class),
+                _ => nas_suite(spec.class),
+            },
+            Subject::Pack { pack, .. } => pack_applications(pack),
+        }
+    }
 }
 
 fn resolve_suite(req: &Request) -> Result<SuiteSpec, Response> {
@@ -125,32 +154,33 @@ fn resolve_deadline(req: &Request) -> Result<Option<Deadline>, Response> {
 }
 
 /// Render a pipeline failure as an HTTP response: an expired deadline is
-/// the service saying "not in time" (`503` with the losing stage and
-/// request id in a structured body), while non-finite inputs are a data
-/// bug (`500`). A deadline failure also fires the flight recorder, so
-/// the events leading up to the `503` are captured as a diagnostic
-/// artifact when a sink is installed ([`install_diagnostic_sink`]).
+/// the service saying "not in time" ([`deadline_exceeded`]), while
+/// non-finite inputs are a data bug (`500`).
 fn pipeline_error(err: PipelineError) -> Response {
     match &err {
         PipelineError::DeadlineExceeded { stage } => {
             fgbs_trace::stat("serve.deadline_expired", 1);
-            let request = fgbs_trace::current_request_id();
-            fgbs_trace::flightrec::trigger("deadline", request);
-            Response {
-                status: 503,
-                source: None,
-                request_id: request,
-                content_type: None,
-                body: Json::obj(vec![
-                    ("error", Json::str("deadline exceeded")),
-                    ("stage", Json::str(*stage)),
-                    ("request", Json::U64(request)),
-                ])
-                .render()
-                .into_bytes(),
-            }
+            deadline_exceeded(stage, fgbs_trace::current_request_id())
         }
         PipelineError::NonFinite { .. } => Response::error(500, &err.to_string()),
+    }
+}
+
+/// The structured `503` of a request that cannot finish in time, naming
+/// the losing stage and the request id. It also fires the flight
+/// recorder, so the events leading up to the `503` are captured as a
+/// diagnostic artifact when a sink is installed
+/// ([`install_diagnostic_sink`]).
+fn deadline_exceeded(stage: &str, request: u64) -> Response {
+    fgbs_trace::flightrec::trigger("deadline", request);
+    Response {
+        status: 503,
+        request_id: request,
+        ..Response::json(&Json::obj(vec![
+            ("error", Json::str("deadline exceeded")),
+            ("stage", Json::str(stage)),
+            ("request", Json::U64(request)),
+        ]))
     }
 }
 
@@ -185,7 +215,7 @@ fn parse_usize_param(req: &Request, name: &str, default: usize) -> Result<usize,
 /// regrouped by their originating application (preserving pack order),
 /// and each invocation context is scheduled once — replaying the
 /// extraction-time invocation profile the pack recorded.
-fn pack_applications(pack: &Pack) -> Vec<fgbs_extract::Application> {
+fn pack_applications(pack: &Pack) -> Vec<Application> {
     let mut order: Vec<&str> = Vec::new();
     for s in &pack.snippets {
         if !order.contains(&s.codelet.app.as_str()) {
@@ -221,8 +251,6 @@ pub struct Service {
     computations: AtomicU64,
     in_flight: AtomicU64,
     shed: AtomicU64,
-    batches: AtomicU64,
-    batched: AtomicU64,
 }
 
 impl std::fmt::Debug for Service {
@@ -253,8 +281,6 @@ impl Service {
             computations: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
         }
     }
 
@@ -291,24 +317,12 @@ impl Service {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Cross-key batches the event loop has run (groups of ≥2 requests
-    /// sharing one work-pool pass).
+    /// Always 0: the event loop hands every request to the executor as
+    /// its own job, so no requests are batched. Kept only because the
+    /// end-to-end benchmark reads it; remove it together with that
+    /// reader.
     pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Requests that were part of a cross-key batch.
-    pub fn batched_requests(&self) -> u64 {
-        self.batched.load(Ordering::Relaxed)
-    }
-
-    /// The event loop reports each submit group's size here; only
-    /// genuine batches (≥2 requests in one pass) move the counters.
-    pub fn note_batch(&self, size: u64) {
-        if size > 1 {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batched.fetch_add(size, Ordering::Relaxed);
-        }
+        0
     }
 
     /// Admission control for deadline-carrying requests: with `depth`
@@ -339,28 +353,17 @@ impl Service {
         }
         self.shed.fetch_add(1, Ordering::Relaxed);
         fgbs_trace::stat("serve.shed", 1);
-        let request = fgbs_trace::next_request_id();
-        fgbs_trace::flightrec::trigger("deadline", request);
-        Some(Response {
-            status: 503,
-            source: None,
-            request_id: request,
-            content_type: None,
-            body: Json::obj(vec![
-                ("error", Json::str("deadline exceeded")),
-                ("stage", Json::str("admission")),
-                ("request", Json::U64(request)),
-            ])
-            .render()
-            .into_bytes(),
-        })
+        Some(deadline_exceeded(
+            "admission",
+            fgbs_trace::next_request_id(),
+        ))
     }
 
     /// Handle one parsed request: assign the next request id, install it
     /// as the thread's ambient trace context for the handler's whole
-    /// scope (pipeline stages and pool workers re-enter it), record
-    /// endpoint latency, and stamp the id onto the response
-    /// (`x-fgbs-request-id`).
+    /// scope (the id's only carrier: pipeline stages record under it and
+    /// pool workers re-enter it), record endpoint latency, and stamp the
+    /// id onto the response (`x-fgbs-request-id`).
     pub fn handle(&self, req: &Request) -> Response {
         // Decrement-on-drop so a panicking handler (unwound by the
         // connection worker's firewall) cannot leak the gauge.
@@ -382,9 +385,9 @@ impl Service {
 
     fn route(&self, req: &Request) -> (&'static str, Response) {
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/predict") => ("predict", self.ep_predict(req)),
-            ("GET", "/sweep") => ("sweep", self.ep_sweep(req)),
-            ("POST", "/reduce") => ("reduce", self.ep_reduce(req)),
+            ("GET", "/predict") => ("predict", self.ep_predict(req).unwrap_or_else(|r| r)),
+            ("GET", "/sweep") => ("sweep", self.ep_sweep(req).unwrap_or_else(|r| r)),
+            ("POST", "/reduce") => ("reduce", self.ep_reduce(req).unwrap_or_else(|r| r)),
             ("POST", "/snippets") => ("snippets", self.ep_snippets(req)),
             ("GET", "/snippets") => ("snippets", self.ep_snippets_list()),
             ("GET", "/artifacts") => ("artifacts", self.ep_artifacts()),
@@ -459,18 +462,14 @@ impl Service {
         r.with_source(if led { "computed" } else { "coalesced" })
     }
 
-    /// The profiled suite for a spec, memoised in memory for the
+    /// The profiled suite of a subject, memoised in memory for the
     /// process's lifetime and store-backed across processes.
-    fn profiled(&self, spec: SuiteSpec) -> Arc<ProfiledSuite> {
-        let memo_key = format!("{}/{}", spec.kind, spec.class_name);
+    fn profiled(&self, subject: &Subject) -> Arc<ProfiledSuite> {
+        let memo_key = subject.memo_key();
         if let Some(p) = self.profiles.lock().get(&memo_key) {
             return Arc::clone(p);
         }
-        let apps = match spec.kind {
-            "nr" => nr_suite(spec.class),
-            "bigdata" => bigdata_suite(spec.class),
-            _ => nas_suite(spec.class),
-        };
+        let apps = subject.applications();
         let t0 = Instant::now();
         let suite = Arc::new(profile_reference(&apps, &self.cfg));
         self.metrics
@@ -482,24 +481,25 @@ impl Service {
             .clone()
     }
 
-    /// The profiled suite of an ingested snippet pack, memoised like the
-    /// first-party suites (keyed by the pack's content-addressed id, so
-    /// a re-uploaded edit profiles afresh under its new id).
-    fn profiled_snippet(&self, id: &str, pack: &Pack) -> Arc<ProfiledSuite> {
-        let memo_key = format!("snippet/{id}");
-        if let Some(p) = self.profiles.lock().get(&memo_key) {
-            return Arc::clone(p);
-        }
-        let apps = pack_applications(pack);
+    /// The service's pipeline configuration for one request, bounded by
+    /// the request's deadline when it carries one.
+    fn request_cfg(&self, deadline: Option<Deadline>) -> PipelineConfig {
+        let mut cfg = self.cfg.clone();
+        cfg.deadline = deadline.or(cfg.deadline);
+        cfg
+    }
+
+    /// Run one fallible stage, recording its latency under `series` when
+    /// it succeeds.
+    fn stage<T>(
+        &self,
+        series: &'static str,
+        run: impl FnOnce() -> Result<T, PipelineError>,
+    ) -> Result<T, PipelineError> {
         let t0 = Instant::now();
-        let suite = Arc::new(profile_reference(&apps, &self.cfg));
-        self.metrics
-            .record("stage.profile", t0.elapsed().as_micros() as u64);
-        self.profiles
-            .lock()
-            .entry(memo_key)
-            .or_insert(suite)
-            .clone()
+        let out = run()?;
+        self.metrics.record(series, t0.elapsed().as_micros() as u64);
+        Ok(out)
     }
 
     /// `POST /snippets`: validate-then-publish a submitted pack frame.
@@ -555,217 +555,148 @@ impl Service {
         ]))
     }
 
-    /// `GET /predict?snippet=<id>`: the prediction pipeline over an
-    /// ingested snippet pack instead of a first-party suite.
-    fn ep_predict_snippet(&self, req: &Request, id: &str) -> Response {
-        let target = match resolve_target(req) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let (k, k_label) = match resolve_k(req) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
-        let pack = match load_pack(&self.store, id) {
-            Ok(Some(p)) => p,
-            Ok(None) => return Response::error(404, &format!("no snippet pack `{id}`")),
-            Err(e) => return Response::error(503, &e.to_string()),
-        };
-        let key = self.response_key("predict-snippet", &[id, &target.name, &k_label]);
-        self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            let suite = self.profiled_snippet(id, &pack);
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_k(k)
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
+    /// `GET /predict`: Step E for a first-party suite or, with
+    /// `?snippet=ID`, for an ingested snippet pack. A suite is resolved
+    /// before the shared parameters and a pack is loaded after them, the
+    /// order each kind of request reports its errors in.
+    fn ep_predict(&self, req: &Request) -> Result<Response, Response> {
+        match req.param("snippet") {
+            None => {
+                let spec = resolve_suite(req)?;
+                self.predict(req, || Ok(Subject::Suite(spec)))
             }
-
-            let t0 = Instant::now();
-            let reduced = match try_reduce_cached(&suite, &cfg, &MicroCache::new()) {
-                Ok(r) => r,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.reduce", t0.elapsed().as_micros() as u64);
-
-            let t0 = Instant::now();
-            let out = match try_predict(&suite, &reduced, &target, &cfg) {
-                Ok(o) => o,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.predict", t0.elapsed().as_micros() as u64);
-
-            let predictions: Vec<Json> = out
-                .predictions
-                .iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("codelet", Json::str(&suite.codelets[p.codelet].name)),
-                        ("representative", Json::Bool(p.is_representative)),
-                        (
-                            "predicted_seconds",
-                            p.predicted_seconds.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                        ("real_seconds", Json::Num(p.real_seconds)),
-                        (
-                            "error_pct",
-                            p.error_pct.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                    ])
+            Some(id) => self.predict(req, || {
+                let pack = load_pack(&self.store, id)
+                    .map_err(|e| Response::error(503, &e.to_string()))?
+                    .ok_or_else(|| Response::error(404, &format!("no snippet pack `{id}`")))?;
+                Ok(Subject::Pack {
+                    id: id.to_string(),
+                    pack,
                 })
-                .collect();
-            Response::json(&Json::obj(vec![
+            }),
+        }
+    }
+
+    /// The one `/predict` path for every subject: resolve target, K and
+    /// deadline, then answer from the store or run reduce → predict.
+    fn predict(
+        &self,
+        req: &Request,
+        subject: impl FnOnce() -> Result<Subject, Response>,
+    ) -> Result<Response, Response> {
+        let target = resolve_target(req)?;
+        let (k, k_label) = resolve_k(req)?;
+        let deadline = resolve_deadline(req)?;
+        let subject = subject()?;
+        let key = match &subject {
+            Subject::Suite(spec) => self.response_key(
+                "predict",
+                &[spec.kind, spec.class_name, &target.name, &k_label],
+            ),
+            Subject::Pack { id, .. } => {
+                self.response_key("predict-snippet", &[id, &target.name, &k_label])
+            }
+        };
+        Ok(self.respond_cached(&key, deadline, || {
+            self.computations.fetch_add(1, Ordering::Relaxed);
+            self.predict_body(&subject, &target, k, &k_label, deadline)
+                .unwrap_or_else(pipeline_error)
+        }))
+    }
+
+    /// Steps C–E for one `/predict` miss, rendered as its body. A pack's
+    /// body names the pack and omits the cluster ids and representative
+    /// timings a first-party suite's body carries.
+    fn predict_body(
+        &self,
+        subject: &Subject,
+        target: &Arch,
+        k: KChoice,
+        k_label: &str,
+        deadline: Option<Deadline>,
+    ) -> Result<Response, PipelineError> {
+        let suite = self.profiled(subject);
+        let cfg = self.request_cfg(deadline).with_k(k);
+        let reduced = self.stage("stage.reduce", || {
+            try_reduce_cached(&suite, &cfg, &MicroCache::new())
+        })?;
+        let out = self.stage("stage.predict", || {
+            try_predict(&suite, &reduced, target, &cfg)
+        })?;
+
+        let first_party = matches!(subject, Subject::Suite(_));
+        let predictions: Vec<Json> = out
+            .predictions
+            .iter()
+            .map(|p| {
+                let mut fields = vec![("codelet", Json::str(&suite.codelets[p.codelet].name))];
+                if first_party {
+                    fields.push((
+                        "cluster",
+                        p.cluster.map(|c| Json::U64(c as u64)).unwrap_or(Json::Null),
+                    ));
+                }
+                fields.extend([
+                    ("representative", Json::Bool(p.is_representative)),
+                    (
+                        "predicted_seconds",
+                        p.predicted_seconds.map(Json::Num).unwrap_or(Json::Null),
+                    ),
+                    ("real_seconds", Json::Num(p.real_seconds)),
+                    (
+                        "error_pct",
+                        p.error_pct.map(Json::Num).unwrap_or(Json::Null),
+                    ),
+                ]);
+                Json::obj(fields)
+            })
+            .collect();
+        let mut fields = match subject {
+            Subject::Suite(spec) => vec![
+                ("suite", Json::str(spec.kind)),
+                ("class", Json::str(spec.class_name)),
+            ],
+            Subject::Pack { id, pack } => vec![
                 ("snippet", Json::str(id)),
                 ("suite", Json::str(&pack.provenance.suite)),
                 ("pack", Json::str(&pack.name)),
-                ("target", Json::str(&out.target)),
-                ("k", Json::str(&k_label)),
-                ("k_requested", Json::U64(reduced.k_requested as u64)),
-                (
-                    "representatives",
-                    Json::U64(reduced.n_representatives() as u64),
-                ),
-                ("codelets", Json::U64(suite.len() as u64)),
-                ("coverage", Json::Num(suite.coverage)),
-                ("median_error_pct", Json::Num(out.median_error_pct())),
-                ("average_error_pct", Json::Num(out.average_error_pct())),
-                ("predictions", Json::Arr(predictions)),
-            ]))
-        })
-    }
-
-    fn ep_predict(&self, req: &Request) -> Response {
-        if let Some(id) = req.param("snippet") {
-            let id = id.to_string();
-            return self.ep_predict_snippet(req, &id);
+            ],
+        };
+        fields.extend([
+            ("target", Json::str(&out.target)),
+            ("k", Json::str(k_label)),
+            ("k_requested", Json::U64(reduced.k_requested as u64)),
+            (
+                "representatives",
+                Json::U64(reduced.n_representatives() as u64),
+            ),
+            ("codelets", Json::U64(suite.len() as u64)),
+            ("coverage", Json::Num(suite.coverage)),
+            ("median_error_pct", Json::Num(out.median_error_pct())),
+            ("average_error_pct", Json::Num(out.average_error_pct())),
+        ]);
+        if first_party {
+            fields.push((
+                "rep_seconds",
+                Json::Arr(out.rep_seconds.iter().map(|&s| Json::Num(s)).collect()),
+            ));
         }
-        let spec = match resolve_suite(req) {
-            Ok(s) => s,
-            Err(r) => return r,
-        };
-        let target = match resolve_target(req) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let (k, k_label) = match resolve_k(req) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
-        let key = self.response_key(
-            "predict",
-            &[spec.kind, spec.class_name, &target.name, &k_label],
-        );
-        self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            let suite = self.profiled(spec);
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_k(k)
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
-
-            let t0 = Instant::now();
-            let reduced = match try_reduce_cached(&suite, &cfg, &MicroCache::new()) {
-                Ok(r) => r,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.reduce", t0.elapsed().as_micros() as u64);
-
-            let t0 = Instant::now();
-            let out = match try_predict(&suite, &reduced, &target, &cfg) {
-                Ok(o) => o,
-                Err(e) => return pipeline_error(e),
-            };
-            self.metrics
-                .record("stage.predict", t0.elapsed().as_micros() as u64);
-
-            let predictions: Vec<Json> = out
-                .predictions
-                .iter()
-                .map(|p| {
-                    Json::obj(vec![
-                        ("codelet", Json::str(&suite.codelets[p.codelet].name)),
-                        (
-                            "cluster",
-                            p.cluster.map(|c| Json::U64(c as u64)).unwrap_or(Json::Null),
-                        ),
-                        ("representative", Json::Bool(p.is_representative)),
-                        (
-                            "predicted_seconds",
-                            p.predicted_seconds.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                        ("real_seconds", Json::Num(p.real_seconds)),
-                        (
-                            "error_pct",
-                            p.error_pct.map(Json::Num).unwrap_or(Json::Null),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(&Json::obj(vec![
-                ("suite", Json::str(spec.kind)),
-                ("class", Json::str(spec.class_name)),
-                ("target", Json::str(&out.target)),
-                ("k", Json::str(&k_label)),
-                ("k_requested", Json::U64(reduced.k_requested as u64)),
-                (
-                    "representatives",
-                    Json::U64(reduced.n_representatives() as u64),
-                ),
-                ("codelets", Json::U64(suite.len() as u64)),
-                ("coverage", Json::Num(suite.coverage)),
-                ("median_error_pct", Json::Num(out.median_error_pct())),
-                ("average_error_pct", Json::Num(out.average_error_pct())),
-                (
-                    "rep_seconds",
-                    Json::Arr(out.rep_seconds.iter().map(|&s| Json::Num(s)).collect()),
-                ),
-                ("predictions", Json::Arr(predictions)),
-            ]))
-        })
+        fields.push(("predictions", Json::Arr(predictions)));
+        Ok(Response::json(&Json::obj(fields)))
     }
 
-    fn ep_sweep(&self, req: &Request) -> Response {
-        let spec = match resolve_suite(req) {
-            Ok(s) => s,
-            Err(r) => return r,
-        };
-        let target = match resolve_target(req) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let kmin = match parse_usize_param(req, "kmin", 1) {
-            Ok(v) => v.max(1),
-            Err(r) => return r,
-        };
-        let kmax = match parse_usize_param(req, "kmax", 8) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
+    fn ep_sweep(&self, req: &Request) -> Result<Response, Response> {
+        let spec = resolve_suite(req)?;
+        let target = resolve_target(req)?;
+        let kmin = parse_usize_param(req, "kmin", 1)?.max(1);
+        let kmax = parse_usize_param(req, "kmax", 8)?;
         if kmax < kmin {
-            return Response::error(400, &format!("kmax ({kmax}) must be >= kmin ({kmin})"));
+            return Err(Response::error(
+                400,
+                &format!("kmax ({kmax}) must be >= kmin ({kmin})"),
+            ));
         }
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
+        let deadline = resolve_deadline(req)?;
         let key = self.response_key(
             "sweep",
             &[
@@ -776,17 +707,11 @@ impl Service {
                 &kmax.to_string(),
             ],
         );
-        self.respond_cached(&key, deadline, || {
+        Ok(self.respond_cached(&key, deadline, || {
             self.computations.fetch_add(1, Ordering::Relaxed);
-            let suite = self.profiled(spec);
+            let suite = self.profiled(&Subject::Suite(spec));
             let cache = MicroCache::new();
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
+            let cfg = self.request_cfg(deadline);
             let points = match try_sweep_k(&suite, &target, kmax, &cache, &cfg) {
                 Ok(p) => p,
                 Err(e) => return pipeline_error(e),
@@ -811,41 +736,24 @@ impl Service {
                 ("kmax", Json::U64(kmax as u64)),
                 ("points", Json::Arr(points)),
             ]))
-        })
+        }))
     }
 
-    fn ep_reduce(&self, req: &Request) -> Response {
-        let spec = match resolve_suite(req) {
-            Ok(s) => s,
-            Err(r) => return r,
-        };
-        let (k, k_label) = match resolve_k(req) {
-            Ok(v) => v,
-            Err(r) => return r,
-        };
-        let deadline = match resolve_deadline(req) {
-            Ok(d) => d,
-            Err(r) => return r,
-        };
+    fn ep_reduce(&self, req: &Request) -> Result<Response, Response> {
+        let spec = resolve_suite(req)?;
+        let (k, k_label) = resolve_k(req)?;
+        let deadline = resolve_deadline(req)?;
         let key = self.response_key("reduce", &[spec.kind, spec.class_name, &k_label]);
-        self.respond_cached(&key, deadline, || {
+        Ok(self.respond_cached(&key, deadline, || {
             self.computations.fetch_add(1, Ordering::Relaxed);
-            let suite = self.profiled(spec);
-            let mut cfg = self
-                .cfg
-                .clone()
-                .with_k(k)
-                .with_request_id(fgbs_trace::current_request_id());
-            if let Some(d) = deadline {
-                cfg = cfg.with_deadline(d);
-            }
-            let t0 = Instant::now();
-            let reduced = match try_reduce_cached(&suite, &cfg, &MicroCache::new()) {
+            let suite = self.profiled(&Subject::Suite(spec));
+            let cfg = self.request_cfg(deadline).with_k(k);
+            let reduced = match self.stage("stage.reduce", || {
+                try_reduce_cached(&suite, &cfg, &MicroCache::new())
+            }) {
                 Ok(r) => r,
                 Err(e) => return pipeline_error(e),
             };
-            self.metrics
-                .record("stage.reduce", t0.elapsed().as_micros() as u64);
             let clusters: Vec<Json> = reduced
                 .clusters
                 .iter()
@@ -886,7 +794,7 @@ impl Service {
                 ),
                 ("clusters", Json::Arr(clusters)),
             ]))
-        })
+        }))
     }
 
     fn ep_artifacts(&self) -> Response {
@@ -1004,20 +912,6 @@ impl Service {
         let _ = writeln!(out, "fgbs_shed_requests_total {}", self.shed());
         family(
             &mut out,
-            "fgbs_request_batches_total",
-            "Cross-key request batches run as one work-pool pass.",
-            "counter",
-        );
-        let _ = writeln!(out, "fgbs_request_batches_total {}", self.batches());
-        family(
-            &mut out,
-            "fgbs_batched_requests_total",
-            "Requests handled as part of a cross-key batch.",
-            "counter",
-        );
-        let _ = writeln!(out, "fgbs_batched_requests_total {}", self.batched_requests());
-        family(
-            &mut out,
             "fgbs_in_flight_requests",
             "Requests currently being handled.",
             "gauge",
@@ -1076,13 +970,6 @@ impl Service {
                 Json::obj(vec![
                     ("flights", Json::U64(self.flight.flights())),
                     ("coalesced", Json::U64(self.flight.coalesced())),
-                ]),
-            ),
-            (
-                "batch",
-                Json::obj(vec![
-                    ("batches", Json::U64(self.batches())),
-                    ("requests", Json::U64(self.batched_requests())),
                 ]),
             ),
             ("shed", Json::U64(self.shed())),

@@ -15,17 +15,22 @@
 //!    `503` with the losing stage named — never a cached error.
 //! 4. **Observability.** Retry / quarantine / deadline counters show up
 //!    in `/metrics` so operators can see the layer working.
+//! 5. **Isolation.** A slow request never holds up a fast one that the
+//!    event loop read in the same turn.
 //!
 //! The failpoint registry is process-global, so every test takes
 //! `fault_guard()` and clears the registry before and after its run.
 
 use std::fs;
+use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use fgbs::core::PipelineConfig;
 use fgbs::fault::{self, FaultPlan};
-use fgbs::serve::{Request, Service};
+use fgbs::serve::{Request, Server, Service};
 use fgbs::store::Store;
 
 /// Serialize tests that install fault plans (the registry is global).
@@ -264,5 +269,59 @@ fn disarmed_failpoints_are_inert() {
     );
     assert_eq!(store.counters().retries, 0);
     assert_eq!(store.counters().quarantines, 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Each request is its own executor job: a `/health` read in the same
+/// reactor turn as a cold `/predict` is answered at once, not after the
+/// miss finishes.
+#[test]
+fn a_request_never_waits_for_another_read_in_the_same_turn() {
+    let _g = fault_guard();
+    let dir = scratch("turn");
+    let (_, service) = service_over(&dir);
+    // Stalling each accept lets both connections deliver their request
+    // before either is registered, so one turn reads both; the reduce
+    // delay keeps the miss busy long after.
+    fault::install(
+        FaultPlan::parse("serve.accept=delay:1.0:50,stage.reduce=delay:1.0:400", 11)
+            .expect("valid spec"),
+    );
+    let server = Server::start("127.0.0.1:0", 2, service).expect("start server");
+    let send = |target: &str| {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        write!(
+            stream,
+            "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send request");
+        stream
+    };
+    let reply = |mut stream: TcpStream| {
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read reply");
+        raw
+    };
+
+    let t0 = Instant::now();
+    let miss = send("/predict?suite=nr&class=test&target=atom&k=3");
+    let health = send("/health");
+    let health = reply(health);
+    let health_after = t0.elapsed();
+    let miss = reply(miss);
+    let miss_after = t0.elapsed();
+    server.shutdown();
+    fault::clear();
+
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(miss.starts_with("HTTP/1.1 200"), "{miss}");
+    assert!(
+        miss_after >= Duration::from_millis(400),
+        "the reduce delay fired: the miss took {miss_after:?}"
+    );
+    assert!(
+        health_after < Duration::from_millis(400),
+        "/health took {health_after:?}: it waited for the cold /predict"
+    );
     let _ = fs::remove_dir_all(&dir);
 }

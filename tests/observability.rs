@@ -2,10 +2,10 @@
 //! propagation, the flight recorder's failure dumps, and the
 //! quantile-metrics endpoints.
 //!
-//! The flight recorder's sink and arming flag are process-global, so
-//! the tests that touch them serialize on one lock (each integration
-//! test file is its own process — the chaos byte-identity suite is
-//! unaffected).
+//! The flight recorder's sink and arming flag and the trace collector
+//! are process-global, so the tests that touch them or run the pipeline
+//! serialize on one lock (each integration test file is its own
+//! process — the chaos byte-identity suite is unaffected).
 
 use std::fs;
 use std::path::PathBuf;
@@ -240,4 +240,78 @@ fn metrics_serves_json_and_prometheus_expositions() {
         "exposition is text/plain: {head}"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The request id travels only as the ambient scope, never as a span
+/// argument: two services answering the same cold `/predict` record
+/// traces with equal digests, and in `/trace` every event's args have
+/// unique keys, with `stage.reduce`'s `req` naming the id on the wire.
+#[test]
+fn request_ids_stay_out_of_span_args_and_the_trace_digest() {
+    let _g = recorder_exclusive();
+    let cold_predict = |dir: &PathBuf| {
+        let store = Arc::new(Store::open(dir).unwrap());
+        let service = Service::new(PipelineConfig::default().with_threads(1), store);
+        fgbs::trace::drain();
+        let resp = service.handle(&predict_request(&[]));
+        assert_eq!(resp.status, 200);
+        (service, resp)
+    };
+    let dirs = [scratch("digest-a"), scratch("digest-b")];
+    let (_, first) = cold_predict(&dirs[0]);
+    let first_trace = fgbs::trace::drain();
+    let (service, second) = cold_predict(&dirs[1]);
+    let chrome = service.handle(&Request {
+        method: "GET".to_string(),
+        path: "/trace".to_string(),
+        query: Vec::new(),
+        body: Vec::new(),
+    });
+    let second_trace = fgbs::trace::drain();
+    assert_ne!(first.request_id, second.request_id);
+    assert!(!second_trace.spans_named("stage.reduce").is_empty());
+    assert_eq!(
+        first_trace.digest(),
+        second_trace.digest(),
+        "the same work traces the same digest whatever its request id"
+    );
+
+    let wire = second.render(false);
+    let head = String::from_utf8_lossy(&wire);
+    let header: u64 = head
+        .lines()
+        .find_map(|l| l.strip_prefix("x-fgbs-request-id: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("response carries x-fgbs-request-id");
+    let doc = Json::parse(&String::from_utf8_lossy(&chrome.body)).expect("/trace is JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents");
+    let mut reduce_reqs = Vec::new();
+    for event in events {
+        let Some(args @ Json::Obj(members)) = event.get("args") else {
+            continue;
+        };
+        let mut keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(
+            keys.len(),
+            members.len(),
+            "duplicate arg keys in {}",
+            event.render()
+        );
+        if event.get("name").and_then(Json::as_str) == Some("stage.reduce") {
+            reduce_reqs.push(args.get("req").and_then(Json::as_u64));
+        }
+    }
+    assert_eq!(
+        reduce_reqs,
+        vec![Some(header)],
+        "stage.reduce carries the wire id as `req`"
+    );
+    for dir in &dirs {
+        let _ = fs::remove_dir_all(dir);
+    }
 }
