@@ -4,20 +4,24 @@
 //! computes for NR, NAS and bigdata at class test and for NAS at class
 //! A: the reference profile, K, the clusters and representatives, the
 //! ill-behaved set and, per target, the predicted times, the median
-//! error, the reduction factor and the geometric means. Every value is
-//! digested by its exact bits, so a refactor or optimisation that moves
-//! any output bit fails here. Regenerate deliberately with
+//! error, the reduction factor and the geometric means. It also pins
+//! what `fgbs features` computes on NR class test at 1 and 2 threads:
+//! the selected feature ids, the fitness, K, the evaluation count and
+//! the per-generation history. Every value is digested by its exact
+//! bits, so a refactor or optimisation that moves any output bit fails
+//! here. Regenerate deliberately with
 //! `UPDATE_GOLDEN=1 cargo test --test golden_e2e`, which rewrites the
 //! file and then fails.
 
 use std::path::PathBuf;
 
 use fgbs::core::{
-    evaluate_targets, profile_reference, reduce_cached, MicroCache, PipelineConfig, ProfiledSuite,
-    ReducedSuite, TargetEvaluation,
+    evaluate_targets, profile_reference, reduce_cached, select_features_ga, MicroCache,
+    PipelineConfig, ProfiledSuite, ReducedSuite, TargetEvaluation,
 };
 use fgbs::extract::Application;
-use fgbs::machine::Arch;
+use fgbs::genetic::GaConfig;
+use fgbs::machine::{Arch, PARK_SCALE};
 use fgbs::suites::{bigdata_suite, nas_suite, nr_suite, Class};
 
 fn golden_path() -> PathBuf {
@@ -142,8 +146,9 @@ fn reduction_digest(e: &TargetEvaluation) -> String {
     d.hex()
 }
 
-/// `fgbs select`'s pipeline on one suite, as golden lines.
-fn select_lines(label: &str, apps: &[Application], out: &mut Vec<String>) {
+/// `fgbs select`'s pipeline on one suite, as golden lines. Returns the
+/// reference profile for the lines that build on it.
+fn select_lines(label: &str, apps: &[Application], out: &mut Vec<String>) -> ProfiledSuite {
     let cfg = PipelineConfig::default().with_threads(0);
     let suite = profile_reference(apps, &cfg);
     let cache = MicroCache::new();
@@ -175,6 +180,43 @@ fn select_lines(label: &str, apps: &[Application], out: &mut Vec<String>) {
         g.f64(e.geomean.0).f64(e.geomean.1);
         out.push(format!("{label} {target} geomean {}", g.hex()));
     }
+    suite
+}
+
+/// `fgbs features`' GA on a profiled suite, trained on Atom and Sandy
+/// Bridge, at each thread count, as golden lines.
+fn features_lines(label: &str, suite: &ProfiledSuite, out: &mut Vec<String>) {
+    let targets = [
+        Arch::atom().scaled(PARK_SCALE),
+        Arch::sandy_bridge().scaled(PARK_SCALE),
+    ];
+    let ga = GaConfig {
+        population: 24,
+        generations: 4,
+        seed: 0,
+        ..GaConfig::default()
+    };
+    let size = format!("{}x{}", ga.population, ga.generations);
+    for threads in [1, 2] {
+        let cfg = PipelineConfig::default().with_threads(threads);
+        let sel = select_features_ga(suite, &targets, &ga, &cfg);
+        let at = format!("{label} ga {size} t{threads}");
+        let mut ids = Digest::new();
+        ids.u64(sel.feature_ids.len() as u64);
+        for &i in &sel.feature_ids {
+            ids.u64(i as u64);
+        }
+        out.push(format!("{at} feature_ids {}", ids.hex()));
+        out.push(format!("{at} fitness {:016x}", sel.fitness.to_bits()));
+        out.push(format!("{at} k {}", sel.k));
+        out.push(format!("{at} evaluations {}", sel.evaluations));
+        let mut history = Digest::new();
+        history.u64(sel.history.len() as u64);
+        for &h in &sel.history {
+            history.f64(h);
+        }
+        out.push(format!("{at} history {}", history.hex()));
+    }
 }
 
 #[test]
@@ -182,12 +224,15 @@ fn end_to_end_outputs_match_the_golden_file() {
     let mut lines = vec![
         "# Whole-park selection outputs: <suite>/<class> <output> <digest of its exact bits>."
             .to_string(),
+        "# GA feature selection outputs: <suite>/<class> ga <population>x<generations> t<threads> <output> <value or digest>."
+            .to_string(),
         "# Regenerate only on purpose: UPDATE_GOLDEN=1 cargo test --test golden_e2e".to_string(),
     ];
-    select_lines("nr/test", &nr_suite(Class::Test), &mut lines);
+    let nr = select_lines("nr/test", &nr_suite(Class::Test), &mut lines);
     select_lines("nas/test", &nas_suite(Class::Test), &mut lines);
     select_lines("bigdata/test", &bigdata_suite(Class::Test), &mut lines);
     select_lines("nas/a", &nas_suite(Class::A), &mut lines);
+    features_lines("nr/test", &nr, &mut lines);
     let got = lines.join("\n") + "\n";
 
     let path = golden_path();
