@@ -258,8 +258,6 @@ mod tests {
             let dt = r.find(id).unwrap();
             assert_eq!(dt.gate.as_ref().unwrap().vs, "clustering/distance/n1024/t1");
         }
-        let mp = r.find("ga/masked_patch/n128/t4").unwrap();
-        assert_eq!(mp.gate.as_ref().unwrap().vs, "ga/masked_patch/n128/t1");
         assert_eq!(r.find("trace/span/n1/t1").unwrap().max_ns, Some(200));
         assert_eq!(r.find("fault/probe/n1/t1").unwrap().max_ns, Some(1000));
         let traced = r.find("pipeline/reduce_traced/n10/t0").unwrap();

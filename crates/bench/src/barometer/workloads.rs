@@ -229,20 +229,19 @@ fn ga_masked_cold(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
 }
 
 /// GA fitness, incremental: patch 2 flipped feature bits.
-fn ga_masked_patch(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn ga_masked_patch(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
     let z = observations(def.size, 76);
     let all: Vec<usize> = (0..64).collect();
     let mut flipped = all.clone();
     flipped.remove(3);
     flipped.push(70);
-    let pool = WorkPool::new(threads);
     let mut cache = MaskedDistanceCache::new(z);
-    let _ = cache.distances_with(&all, &pool);
+    let _ = cache.distances(&all);
     let mut turn = false;
     Ok(run_samples(def.batch, samples, move |_| {
         // Alternate two masks two bits apart: every op patches.
         turn = !turn;
-        black_box(cache.distances_with(if turn { &flipped } else { &all }, &pool));
+        black_box(cache.distances(if turn { &flipped } else { &all }));
     }))
 }
 

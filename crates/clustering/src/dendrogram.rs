@@ -64,13 +64,6 @@ impl Dendrogram {
         assert!(k >= 1 && k <= self.n, "cannot cut {} leaves into {k}", self.n);
         // Union-find over leaf + internal ids.
         let mut parent: Vec<usize> = (0..self.n + self.merges.len()).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
         for (t, m) in self.merges.iter().take(self.n - k).enumerate() {
             let new_id = self.n + t;
             let ra = find(&mut parent, m.a);
@@ -93,6 +86,16 @@ impl Dendrogram {
             self.merges[self.n - k - 1].height
         }
     }
+}
+
+/// Root of `x`'s set in a union-find forest, halving the path on the
+/// way.
+pub(crate) fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
 #[cfg(test)]

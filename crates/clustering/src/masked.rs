@@ -8,10 +8,18 @@
 //! [`MaskedDistanceCache`] keeps, for the most recently evaluated mask,
 //! the full condensed triangle of *quantised squared-distance
 //! accumulators* (`Condensed<i128>`, see [`fgbs_matrix::kernel`]). A new
-//! mask is evaluated by patching each pair's accumulator with the
+//! mask is evaluated either by patching each pair's accumulator with the
 //! contributions of the features that were added and removed — O(n² ·
-//! |Δ|) — whenever the symmetric difference is smaller than the mask
-//! itself, and from scratch otherwise.
+//! |Δ|) — or from scratch — O(n² · |mask|) — whichever costs less.
+//!
+//! A patch reads each feature's contributions from a table: per feature,
+//! its quantised contribution to every pair, in condensed order. A
+//! feature's column is filled by the first patch that adds or removes
+//! it; after that, patching it is only integer adds and subtractions,
+//! about a quarter of the cost of quantising it again. The table holds
+//! at most `n_features · n(n−1)/2` `i128` (460 KB for 28 codelets and
+//! 76 features). A from-scratch evaluation is one pair-major pass that
+//! stores nothing, so a cache evaluated once allocates no columns.
 //!
 //! # Exactness invariant
 //!
@@ -19,20 +27,29 @@
 //! integer addition is associative and exact, a pair's accumulator is a
 //! pure function of the mask *set*: patching from any anchor mask, in
 //! any order, yields bit-for-bit the accumulator a from-scratch
-//! evaluation produces. Fitness values therefore do not depend on which
-//! genome happened to be cached — the property that keeps the GA
-//! deterministic even when a shared cache is raced over by a thread
-//! pool (behind a lock).
+//! evaluation produces. A feature id repeated in the request counts
+//! once. Fitness values therefore do not depend on which genome
+//! happened to be cached — the property that keeps the GA deterministic
+//! even when a shared cache is raced over by a thread pool (behind a
+//! lock).
 
-use fgbs_matrix::tile::{DisjointCells, TileMap};
 use fgbs_matrix::{kernel, Condensed, Matrix};
 use fgbs_pool::WorkPool;
 
 use crate::distance::DistanceMatrix;
 
+/// What one contribution quantised from the matrix costs, in adds of
+/// one read from a filled column (measured at 28 rows: about 4).
+const QUANTISE_COST: usize = 4;
+
 /// Cached incremental evaluator of masked pairwise distances over a
 /// fixed observation matrix (rows = observations, columns = features —
 /// normally the z-normalised full feature matrix).
+///
+/// Evaluation runs on the calling thread. Callers that share one cache
+/// across a pool (the GA's fitness loop) hold it behind a lock; a patch
+/// is short enough that fanning it out again would only nest a pool
+/// inside the pool.
 #[derive(Debug)]
 pub struct MaskedDistanceCache {
     z: Matrix,
@@ -42,6 +59,9 @@ pub struct MaskedDistanceCache {
     cached_len: usize,
     /// Quantised squared-distance accumulators for `cached_mask`.
     acc: Condensed<i128>,
+    /// Per feature, its quantised contribution to every pair in
+    /// condensed order; empty until a patch first adds or removes it.
+    columns: Vec<Vec<i128>>,
     /// Pair-feature contributions evaluated incrementally so far.
     patched: u64,
     /// Pair-feature contributions evaluated from scratch so far.
@@ -56,6 +76,7 @@ impl MaskedDistanceCache {
             cached_mask: vec![false; z.ncols()],
             cached_len: 0,
             acc: Condensed::filled(n, 0i128),
+            columns: vec![Vec::new(); z.ncols()],
             z,
             patched: 0,
             scratched: 0,
@@ -74,7 +95,8 @@ impl MaskedDistanceCache {
     }
 
     /// Pairwise Euclidean distances restricted to the feature columns in
-    /// `ids`, updating the cached accumulators to this mask.
+    /// `ids`, updating the cached accumulators to this mask. A repeated
+    /// id counts once.
     ///
     /// Result is identical — bitwise — no matter which mask was cached
     /// before the call (see the module docs).
@@ -83,30 +105,14 @@ impl MaskedDistanceCache {
     ///
     /// Panics when a feature id is out of range.
     pub fn distances(&mut self, ids: &[usize]) -> DistanceMatrix {
-        self.distances_with(ids, &WorkPool::serial())
-    }
-
-    /// [`MaskedDistanceCache::distances`] with the condensed triangle
-    /// partitioned into the same cache-sized tiles the distance builder
-    /// uses ([`TileMap::for_observations`]), fanned out over `pool`.
-    ///
-    /// Each tile patches (or rebuilds) its own disjoint span of the
-    /// quantised accumulators and converts it to distances in the same
-    /// pass. Integer addition is exact and associative, so the tiled,
-    /// pooled result is bitwise identical to the serial one for every
-    /// thread count and tile order — the same exactness invariant that
-    /// makes patching anchor-independent (module docs).
-    pub fn distances_with(&mut self, ids: &[usize], pool: &WorkPool) -> DistanceMatrix {
+        let mut next_mask = vec![false; self.z.ncols()];
         for &f in ids {
             assert!(f < self.z.ncols(), "feature id {f} out of range");
+            next_mask[f] = true;
         }
         let n = self.z.nrows();
 
         // Symmetric difference against the cached mask.
-        let mut next_mask = vec![false; self.z.ncols()];
-        for &f in ids {
-            next_mask[f] = true;
-        }
         let mut added: Vec<usize> = Vec::new();
         let mut removed: Vec<usize> = Vec::new();
         for (f, (&was, &now)) in self.cached_mask.iter().zip(&next_mask).enumerate() {
@@ -118,95 +124,88 @@ impl MaskedDistanceCache {
         }
 
         let delta = added.len() + removed.len();
-        // Cardinality of the new mask (ids may repeat; added/removed are
-        // computed set-wise against the cached mask).
         let next_len = self.cached_len + added.len() - removed.len();
         let npairs = n * n.saturating_sub(1) / 2;
-        let patch = delta < next_len;
-        if patch {
+        // Per pair, a filled column costs one add; a column still to
+        // fill, like every feature of a scratch pass, one quantisation.
+        let patch_cost: usize = added
+            .iter()
+            .chain(&removed)
+            .map(|&f| {
+                if self.columns[f].is_empty() {
+                    QUANTISE_COST
+                } else {
+                    1
+                }
+            })
+            .sum();
+        if patch_cost < next_len * QUANTISE_COST {
             // Patch the cached triangle in place. A *stat*, not a counter:
             // which anchor a genome patches from depends on evaluation
             // order (thread scheduling), even though the distances do not.
             fgbs_trace::stat("cluster.masked_incremental", 1);
             self.patched += npairs as u64 * delta as u64;
+            for &f in added.iter().chain(&removed) {
+                fill_column(&mut self.columns, &self.z, f);
+            }
+            let plus: Vec<&[i128]> = added.iter().map(|&f| &self.columns[f][..]).collect();
+            let minus: Vec<&[i128]> = removed.iter().map(|&f| &self.columns[f][..]).collect();
+            for (p, a) in self.acc.as_mut_slice().iter_mut().enumerate() {
+                let mut x = *a;
+                for c in &plus {
+                    x += c[p];
+                }
+                for c in &minus {
+                    x -= c[p];
+                }
+                *a = x;
+            }
         } else {
             // From scratch: cheaper than patching, or nothing cached yet.
             fgbs_trace::stat("cluster.masked_scratch", 1);
             self.scratched += npairs as u64 * next_len as u64;
-        }
-
-        if pool.threads() <= 1 {
-            // Serial fast path: one flat walk over the condensed
-            // triangle (no tile bookkeeping), then one conversion sweep
-            // the compiler can vectorise. Bitwise-identical to the tiled
-            // path below — integer accumulators are exact, so the
-            // decomposition is invisible in the bits.
-            let mut at = 0usize;
+            let distinct: Vec<usize> = (0..next_mask.len()).filter(|&f| next_mask[f]).collect();
+            let mut cells = self.acc.as_mut_slice().iter_mut();
             for i in 0..n {
                 let a = self.z.row(i);
                 for j in (i + 1)..n {
-                    let cell = &mut self.acc.as_mut_slice()[at];
-                    *cell = if patch {
-                        kernel::masked_sq_delta(*cell, a, self.z.row(j), &added, &removed)
-                    } else {
-                        kernel::masked_sq_acc(a, self.z.row(j), ids)
-                    };
-                    at += 1;
+                    let cell = cells.next().expect("one accumulator per pair");
+                    *cell = kernel::masked_sq_acc(a, self.z.row(j), &distinct);
                 }
             }
-            self.cached_len = next_len;
-            self.cached_mask = next_mask;
-            let d: Vec<f64> =
-                self.acc.as_slice().iter().map(|&a| kernel::acc_to_dist(a)).collect();
-            return DistanceMatrix::from_condensed(Condensed::from_vec(n, d));
         }
-
-        let tiles = TileMap::for_observations(n, self.z.ncols());
-        let z = &self.z;
-        let (added, removed) = (&added, &removed);
-        let mut d: Vec<f64> = Vec::with_capacity(npairs);
-        {
-            let acc_cells = DisjointCells::new(self.acc.as_mut_slice());
-            // SAFETY (from_uninit): the tiles cover every condensed cell
-            // exactly once, and each cell is written before `set_len`.
-            let out_cells = unsafe { DisjointCells::from_uninit(d.spare_capacity_mut()) };
-            let (acc_cells, out_cells) = (&acc_cells, &out_cells);
-            // Untraced: this branch only runs above one thread (the flat
-            // serial path above returns early), so an ordinary pool.map
-            // span here would make the span tree depend on the thread
-            // count — the one thing the trace digest contract forbids.
-            pool.for_each_indexed_untraced(tiles.len(), |t| {
-                let (rows, cr) = tiles.tile(t);
-                for i in rows.clone() {
-                    let j0 = cr.start.max(i + 1);
-                    if j0 >= cr.end {
-                        continue;
-                    }
-                    let (off, w) = (tiles.condensed_offset(i, j0), cr.end - j0);
-                    // SAFETY: the tile map assigns every condensed cell
-                    // to exactly one (tile, row) span, and the pool runs
-                    // each tile index exactly once, so concurrent spans
-                    // never overlap (in either buffer).
-                    let (acc, out) = unsafe {
-                        (acc_cells.slice_mut(off, w), out_cells.slice_mut(off, w))
-                    };
-                    let a = z.row(i);
-                    for (k, j) in (j0..cr.end).enumerate() {
-                        acc[k] = if patch {
-                            kernel::masked_sq_delta(acc[k], a, z.row(j), added, removed)
-                        } else {
-                            kernel::masked_sq_acc(a, z.row(j), ids)
-                        };
-                        out[k] = kernel::acc_to_dist(acc[k]);
-                    }
-                }
-            });
-        }
-        // SAFETY: every one of the `npairs` cells was written above.
-        unsafe { d.set_len(npairs) };
         self.cached_len = next_len;
         self.cached_mask = next_mask;
+        let d: Vec<f64> = self
+            .acc
+            .as_slice()
+            .iter()
+            .map(|&a| kernel::acc_to_dist(a))
+            .collect();
         DistanceMatrix::from_condensed(Condensed::from_vec(n, d))
+    }
+
+    /// [`MaskedDistanceCache::distances`], for callers that pass a pool:
+    /// `pool` is not used, and evaluation runs on the calling thread.
+    pub fn distances_with(&mut self, ids: &[usize], _pool: &WorkPool) -> DistanceMatrix {
+        self.distances(ids)
+    }
+}
+
+/// Feature `f`'s quantised contribution `(z_if − z_jf)²` to every pair
+/// `i < j`, in condensed order: its column of the table, filled on first
+/// use.
+fn fill_column(columns: &mut [Vec<i128>], z: &Matrix, f: usize) {
+    let column = &mut columns[f];
+    if column.is_empty() {
+        let x: Vec<f64> = z.rows().map(|row| row[f]).collect();
+        column.reserve_exact(x.len() * x.len().saturating_sub(1) / 2);
+        for (i, &xi) in x.iter().enumerate() {
+            for &xj in &x[i + 1..] {
+                let d = xi - xj;
+                column.push(kernel::quantize_sq(d * d));
+            }
+        }
     }
 }
 
@@ -312,34 +311,34 @@ mod tests {
     }
 
     #[test]
-    fn pooled_patching_is_bitwise_identical() {
-        // Big enough for several tiles; walk masks so both the patch and
-        // scratch paths run under every pool.
-        let z = Matrix::from_rows(
-            &(0..67)
-                .map(|i| {
-                    (0..12)
-                        .map(|j| ((i * 7 + j * 13) % 19) as f64 / 3.0 - 2.5)
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>(),
-        );
-        let masks: Vec<Vec<usize>> = vec![
-            vec![0, 1, 2, 3, 4, 5, 6, 7],
-            vec![0, 1, 2, 3, 4, 5, 6, 9],
-            vec![0, 11],
-            vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-        ];
-        let mut serial = MaskedDistanceCache::new(z.clone());
-        for threads in [2, 4, 8] {
-            let pool = WorkPool::new(threads);
-            let mut pooled = MaskedDistanceCache::new(z.clone());
-            for ids in &masks {
-                let want = serial.distances(ids);
-                let got = pooled.distances_with(ids, &pool);
-                assert_eq!(want, got, "threads={threads} mask={ids:?}");
-            }
-            serial = MaskedDistanceCache::new(z.clone());
-        }
+    fn repeated_ids_count_once_from_any_anchor() {
+        // A fresh cache and an anchored one must agree when ids repeat:
+        // each distinct id contributes once, as in a patch.
+        let z = Matrix::from_rows(&[
+            vec![0.0, 0.0, 0.0],
+            vec![1.0, 2.0, 0.0],
+            vec![3.0, -1.0, 2.0],
+        ]);
+        let ids = [0usize, 0, 1];
+        let fresh = MaskedDistanceCache::new(z.clone()).distances(&ids);
+        let mut anchored = MaskedDistanceCache::new(z.clone());
+        let _ = anchored.distances(&[0, 1]);
+        let patched = anchored.distances(&ids);
+        assert_eq!(fresh, patched);
+        assert_eq!(fresh, MaskedDistanceCache::new(z).distances(&[0, 1]));
+        assert_eq!(fresh.get(0, 1), 5f64.sqrt());
+    }
+
+    #[test]
+    fn a_single_evaluation_fills_no_columns() {
+        let mut cache = MaskedDistanceCache::new(z());
+        let _ = cache.distances(&[0, 1, 2, 3, 4, 5]);
+        assert!(cache.columns.iter().all(Vec::is_empty));
+        // Patching fills exactly the columns it touches.
+        let _ = cache.distances(&[0, 1, 2, 3, 4, 6]);
+        let filled: Vec<usize> = (0..cache.columns.len())
+            .filter(|&f| !cache.columns[f].is_empty())
+            .collect();
+        assert_eq!(filled, vec![5, 6]);
     }
 }

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 
 use crate::config::PipelineConfig;
 use crate::micras::MicroCache;
-use crate::predict::predict_with_runs;
+use crate::predict::{average_error_pct, predict_codelets};
 use crate::profile::{profile_target, ProfiledSuite};
 use crate::reduce::{reduce_from_distances, wellness};
 
@@ -53,15 +53,20 @@ pub struct FeatureSelection {
 ///
 /// Each genome's fitness — cluster once, predict per training target —
 /// evaluates on the shared work pool (`cfg.threads` workers), memoised
-/// across generations by a [`FitnessCache`]. The mask-independent parts
-/// of the pipeline are hoisted out of the loop: wellness bits are
-/// measured once, and the full 76-feature matrix is z-normalised once
-/// (normalisation is column-independent, so projecting the normalised
-/// columns is bitwise-identical to normalising each projection). Masked
-/// distances come from a shared [`MaskedDistanceCache`], patched
-/// incrementally from the previously evaluated genome's quantised
-/// accumulators; the quantised integers make the result independent of
+/// across generations by a [`FitnessCache`]. Inside a fitness
+/// evaluation everything runs on the calling worker: the pool
+/// parallelises across genomes, and no pool runs inside it. The
+/// mask-independent parts of the pipeline are hoisted out of the loop:
+/// wellness bits are measured once, and the full 76-feature matrix is
+/// z-normalised once (normalisation is column-independent, so projecting
+/// the normalised columns is bitwise-identical to normalising each
+/// projection). Masked distances come from a shared
+/// [`MaskedDistanceCache`], patched under its lock from the previously
+/// evaluated genome's quantised accumulators with per-feature columns of
+/// contributions; the quantised integers make the result independent of
 /// evaluation order, so results are identical for every thread count.
+/// Each target's error comes straight from the per-codelet predictions,
+/// without a [`crate::PredictionOutcome`] and its copy of the target runs.
 pub fn select_features_ga(
     suite: &ProfiledSuite,
     targets: &[Arch],
@@ -95,22 +100,17 @@ pub fn select_features_ga(
     };
     let z = normalize(&suite.features.matrix());
     let masked = Mutex::new(MaskedDistanceCache::new(z.clone()));
-    // The cache lock is the fitness loop's shared critical section:
-    // genomes queue on it while one patches. Fanning each patch's tiles
-    // over the pool shortens the section itself; the quantised integer
-    // accumulators keep the result bitwise identical either way.
-    let patch_pool = cfg.pool();
 
     let eval_mask = |mask: &FeatureMask| -> (f64, usize) {
         let ids = mask.ids();
-        let dist = masked.lock().distances_with(&ids, &patch_pool);
+        let dist = masked.lock().distances(&ids);
         let data = z.project_cols(&ids);
         let reduced = reduce_from_distances(suite, &inner_cfg, data, &dist, &eligible);
         let k_used = reduced.n_representatives();
         let mut worst = 0.0f64;
         for (t, r) in targets.iter().zip(&runs) {
-            let err = predict_with_runs(suite, &reduced, t, r, &cache, &inner_cfg)
-                .average_error_pct();
+            let (predictions, _) = predict_codelets(suite, &reduced, t, r, &cache, &inner_cfg);
+            let err = average_error_pct(&predictions);
             if !err.is_finite() {
                 return (f64::NAN, k_used);
             }

@@ -54,16 +54,18 @@ impl PredictionOutcome {
 
     /// Mean per-codelet error (percent) over predicted codelets.
     pub fn average_error_pct(&self) -> f64 {
-        let errs: Vec<f64> = self
-            .predictions
-            .iter()
-            .filter_map(|p| p.error_pct)
-            .collect();
-        if errs.is_empty() {
-            f64::NAN
-        } else {
-            errs.iter().sum::<f64>() / errs.len() as f64
-        }
+        average_error_pct(&self.predictions)
+    }
+}
+
+/// Mean error (percent) over the codelets that have a prediction; NaN
+/// when none has.
+pub(crate) fn average_error_pct(preds: &[CodeletPrediction]) -> f64 {
+    let errs: Vec<f64> = preds.iter().filter_map(|p| p.error_pct).collect();
+    if errs.is_empty() {
+        f64::NAN
+    } else {
+        errs.iter().sum::<f64>() / errs.len() as f64
     }
 }
 
@@ -109,6 +111,28 @@ pub fn predict_with_runs(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
+    let (predictions, rep_seconds) =
+        predict_codelets(suite, reduced, target, target_runs, cache, cfg);
+    PredictionOutcome {
+        target: target.name.clone(),
+        predictions,
+        target_runs: target_runs.to_vec(),
+        rep_seconds,
+    }
+}
+
+/// The model behind [`predict_with_runs`]: every codelet's prediction,
+/// and each representative's standalone seconds per invocation on the
+/// target (cluster order). It copies none of `target_runs`, so a caller
+/// that needs only the errors (the GA's fitness) pays for no outcome.
+pub(crate) fn predict_codelets(
+    suite: &ProfiledSuite,
+    reduced: &ReducedSuite,
+    target: &Arch,
+    target_runs: &[AppRun],
+    cache: &MicroCache,
+    cfg: &PipelineConfig,
+) -> (Vec<CodeletPrediction>, Vec<f64>) {
     let mut stage_span = fgbs_trace::span("stage.predict");
     stage_span.arg_u64("representatives", reduced.clusters.len() as u64);
     stage_span.arg_u64("codelets", suite.len() as u64);
@@ -166,13 +190,7 @@ pub fn predict_with_runs(
             }
         })
         .collect();
-
-    PredictionOutcome {
-        target: target.name.clone(),
-        predictions,
-        target_runs: target_runs.to_vec(),
-        rep_seconds,
-    }
+    (predictions, rep_seconds)
 }
 
 /// Step E: run the ground truth on the target, measure the

@@ -27,8 +27,8 @@
 //! `2⁻⁸⁰` quanta ([`quantize_sq`]) and summed in `i128`. Integer
 //! addition is associative and exact, so the accumulator for a mask is
 //! a pure function of the mask *set* — identical whether it was built
-//! from scratch or by any chain of incremental updates. The final
-//! distance is `sqrt(acc · 2⁻⁸⁰)`.
+//! from scratch ([`masked_sq_acc`]) or by any chain of incremental
+//! updates. The final distance is `sqrt(acc · 2⁻⁸⁰)`.
 //!
 //! Range: z-scores are bounded by `√(n−1)`, so one contribution is at
 //! most `4(n−1) < 2¹⁵` for any realistic suite, i.e. `< 2⁹⁵` quanta;
@@ -62,13 +62,44 @@ pub fn dist(a: &[f64], b: &[f64]) -> f64 {
 
 /// Quantise one squared per-feature contribution to `2⁻⁸⁰` quanta.
 ///
-/// The multiply by a power of two is exact; the cast truncates toward
-/// zero deterministically. Contributions are non-negative, so the
-/// result is too.
+/// Returns exactly `(c * 2⁸⁰) as i128` for every input: the multiply by
+/// a power of two is exact short of overflow, and the conversion
+/// truncates toward zero and saturates as the cast does (NaN to 0, ±∞
+/// and magnitudes of `2¹²⁷` or more to the nearer bound). It reads the
+/// product's exponent and mantissa instead of casting, because on
+/// x86-64 the `f64 as i128` cast is a runtime-library call that costs
+/// about twice as much. Contributions are non-negative, so the result
+/// is too.
 #[inline]
 pub fn quantize_sq(c: f64) -> i128 {
-    debug_assert!(c >= 0.0, "squared contributions are non-negative");
-    (c * Q_SCALE) as i128
+    const MANTISSA_BITS: i32 = 52;
+    let x = c * Q_SCALE;
+    let bits = x.to_bits();
+    let exp = ((bits >> MANTISSA_BITS) & 0x7ff) as i32 - 1023;
+    if exp < 0 {
+        // |x| < 1, zeros and subnormals included.
+        return 0;
+    }
+    let negative = bits >> 63 != 0;
+    if exp >= 127 {
+        // |x| ≥ 2¹²⁷, ±∞ or NaN.
+        return match (x.is_nan(), negative) {
+            (true, _) => 0,
+            (false, true) => i128::MIN,
+            (false, false) => i128::MAX,
+        };
+    }
+    let mantissa = (bits & ((1 << MANTISSA_BITS) - 1)) | (1 << MANTISSA_BITS);
+    let magnitude = if exp >= MANTISSA_BITS {
+        (mantissa as i128) << (exp - MANTISSA_BITS)
+    } else {
+        (mantissa >> (MANTISSA_BITS - exp)) as i128
+    };
+    if negative {
+        -magnitude
+    } else {
+        magnitude
+    }
 }
 
 /// Turn an accumulated quantised squared distance back into a distance.
@@ -90,26 +121,10 @@ pub fn masked_sq_acc(a: &[f64], b: &[f64], ids: &[usize]) -> i128 {
     acc
 }
 
-/// Patch a cached accumulator: add the contributions of `added` and
-/// remove those of `removed`. Exact, so the result equals
-/// [`masked_sq_acc`] of the patched mask bit for bit.
-#[inline]
-pub fn masked_sq_delta(base: i128, a: &[f64], b: &[f64], added: &[usize], removed: &[usize]) -> i128 {
-    let mut acc = base;
-    for &f in added {
-        let d = a[f] - b[f];
-        acc += quantize_sq(d * d);
-    }
-    for &f in removed {
-        let d = a[f] - b[f];
-        acc -= quantize_sq(d * d);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sq_dist_matches_naive() {
@@ -151,24 +166,74 @@ mod tests {
         assert!((q - float.sqrt()).abs() < 1e-9, "{q} vs {}", float.sqrt());
     }
 
+    /// The cast [`quantize_sq`] replaces, kept as its oracle.
+    fn quantize_by_cast(c: f64) -> i128 {
+        (c * Q_SCALE) as i128
+    }
+
     #[test]
-    fn delta_equals_scratch_bitwise() {
-        let a: Vec<f64> = (0..12).map(|i| (i as f64 * 0.77).sin() * 2.0).collect();
-        let b: Vec<f64> = (0..12).map(|i| (i as f64 * 0.41).cos() - 0.3).collect();
-        let base_ids = [0usize, 2, 4, 6, 8];
-        let base = masked_sq_acc(&a, &b, &base_ids);
-        // Patch to {0, 2, 5, 6, 8, 11}.
-        let patched = masked_sq_delta(base, &a, &b, &[5, 11], &[4]);
-        let scratch = masked_sq_acc(&a, &b, &[0, 2, 5, 6, 8, 11]);
-        assert_eq!(patched, scratch);
-        // Patch order and anchor do not matter.
-        let via_other = masked_sq_delta(
-            masked_sq_acc(&a, &b, &[11]),
-            &a,
-            &b,
-            &[0, 2, 5, 6, 8],
-            &[],
-        );
-        assert_eq!(via_other, scratch);
+    fn quantize_sq_matches_the_cast_on_edge_cases() {
+        let big = 2f64.powi(127 - Q_SCALE_BITS as i32);
+        let edges = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            2f64.powi(-80),
+            2f64.powi(-81),
+            2f64.powi(-80) * 1.5,
+            0.999_999_999,
+            1.0,
+            -1.0,
+            -2.5,
+            3.75e-7,
+            big,
+            -big,
+            big * (1.0 - f64::EPSILON),
+            -big * (1.0 - f64::EPSILON),
+            big * 2.0,
+            -big * 2.0,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for c in edges {
+            assert_eq!(
+                quantize_sq(c),
+                quantize_by_cast(c),
+                "c = {c:e} ({:#018x})",
+                c.to_bits()
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn quantize_sq_matches_the_cast_on_random_bits(bits in any::<u64>()) {
+            let c = f64::from_bits(bits);
+            prop_assert_eq!(quantize_sq(c), quantize_by_cast(c), "c = {:e}", c);
+        }
+
+        #[test]
+        fn quantize_sq_matches_the_cast_between_the_quantum_and_the_bound(
+            mantissa in any::<u64>(),
+            exp in -82i32..48,
+            negative in any::<bool>(),
+        ) {
+            // Scaled by 2⁸⁰, every exponent from just under one quantum
+            // to the i128 bound: the range where the conversion shifts.
+            let bits = (negative as u64) << 63
+                | ((exp + 1023) as u64) << 52
+                | (mantissa & ((1 << 52) - 1));
+            let c = f64::from_bits(bits);
+            prop_assert_eq!(quantize_sq(c), quantize_by_cast(c), "c = {:e}", c);
+        }
     }
 }

@@ -99,21 +99,6 @@ impl WorkPool {
         // expire) without perturbing the per-item work or its ordering.
         fgbs_fault::maybe_delay("pool.map");
 
-        self.run_indexed(n, f)
-    }
-
-    /// [`WorkPool::map_indexed`] without the `pool.map` span, counters
-    /// or failpoint: the scheduling and determinism contract are the
-    /// same, but the digested trace content (span tree + counters) is
-    /// untouched. For inner loops whose callers
-    /// own the trace shape — e.g. a path that pools only above one
-    /// thread must not let the branch leak into the span tree, which is
-    /// required to be identical at every thread count.
-    fn run_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
         let workers = self.threads.min(n.max(1));
         if workers <= 1 || n <= 1 {
             return (0..n).map(f).collect();
@@ -225,15 +210,6 @@ impl WorkPool {
         F: Fn(usize) + Sync,
     {
         let _ = self.map_indexed(n, &f);
-    }
-
-    /// [`WorkPool::for_each_indexed`] without the `pool.map` span,
-    /// counters or failpoint (see [`WorkPool::run_indexed`]).
-    pub fn for_each_indexed_untraced<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let _ = self.run_indexed(n, &f);
     }
 
     /// Map `f` over a slice, returning results in item order.
