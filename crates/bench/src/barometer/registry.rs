@@ -247,17 +247,10 @@ mod tests {
         // span ≤100 ns, disarmed probe ≤1 µs, traced pipeline ≤5%.
         let chain = r.find("clustering/linkage_nnchain/n1024/t1").unwrap();
         assert_eq!(chain.gate.as_ref().unwrap().max_ratio, 0.2);
-        // The SIMD tile scheduler's pins: the absolute bound on the
-        // single-thread n1024 build (4.7 ms before the kernel layer),
-        // and pooled rows bounded against their serial siblings (the
-        // ratio is tolerant — CI hosts may expose a single CPU, where
-        // fanning out buys nothing and costs thread spawns).
+        // The SIMD distance kernel's pin: the absolute bound on the
+        // n1024 build (4.7 ms before the kernel layer).
         let d1 = r.find("clustering/distance/n1024/t1").unwrap();
         assert_eq!(d1.max_ns, Some(1_500_000));
-        for id in ["clustering/distance/n1024/t4", "clustering/distance/n1024/t8"] {
-            let dt = r.find(id).unwrap();
-            assert_eq!(dt.gate.as_ref().unwrap().vs, "clustering/distance/n1024/t1");
-        }
         assert_eq!(r.find("trace/span/n1/t1").unwrap().max_ns, Some(200));
         assert_eq!(r.find("fault/probe/n1/t1").unwrap().max_ns, Some(1000));
         let traced = r.find("pipeline/reduce_traced/n10/t0").unwrap();

@@ -182,11 +182,10 @@ fn calibrate(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
 }
 
 /// Pairwise Euclidean distance construction over `size` codelets.
-fn distance(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn distance(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
     let data = observations(def.size, 14);
-    let pool = WorkPool::new(threads);
     Ok(run_samples(def.batch, samples, |_| {
-        black_box(DistanceMatrix::euclidean_with(&data, &pool));
+        black_box(DistanceMatrix::euclidean(&data));
     }))
 }
 

@@ -1,9 +1,7 @@
-//! Condensed pairwise distance matrices, built by a cache-blocked tile
-//! scheduler over the SIMD strip kernels.
+//! Condensed pairwise distance matrices, built in one pass of the SIMD
+//! triangle kernel.
 
-use fgbs_matrix::simd;
-use fgbs_matrix::tile::{ColMajor, DisjointCells, TileMap};
-use fgbs_matrix::{Condensed, Matrix};
+use fgbs_matrix::{simd, Condensed, Matrix};
 use fgbs_pool::WorkPool;
 
 /// A symmetric pairwise distance matrix over `n` observations, stored in
@@ -14,65 +12,28 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Euclidean distances between rows of `data`, computed serially.
+    /// Euclidean distances between rows of `data`, from
+    /// [`simd::dist_condensed`]: each pair's distance is one fixed
+    /// norm-identity graph (one serial fma dot-product chain per pair,
+    /// vectorised *across* pairs), so the result is bitwise identical
+    /// on every dispatch path.
     pub fn euclidean(data: &Matrix) -> DistanceMatrix {
-        DistanceMatrix::euclidean_with(data, &WorkPool::serial())
-    }
-
-    /// Euclidean distances between rows of `data`, with the condensed
-    /// triangle partitioned into cache-sized tiles fanned out over
-    /// `pool`.
-    ///
-    /// The tile decomposition ([`TileMap::for_observations`]) is a pure
-    /// function of `(n, d)` — never the worker count — and every tile
-    /// owns, per row it covers, one contiguous disjoint span of the
-    /// condensed vector, reduced in place through [`DisjointCells`].
-    /// Each pair's distance comes from the fixed norm-identity graph
-    /// ([`simd::dist_strip`]: one serial fma dot-product chain per
-    /// pair, vectorised *across* pairs over a column-major block, with
-    /// precomputed column norms), so the result is bitwise identical to
-    /// [`DistanceMatrix::euclidean`] for any thread count, tile order,
-    /// and dispatch width.
-    pub fn euclidean_with(data: &Matrix, pool: &WorkPool) -> DistanceMatrix {
         let n = data.nrows();
         let mut build_span = fgbs_trace::span("cluster.distance");
         build_span.arg_u64("observations", n as u64);
-        let tiles = TileMap::for_observations(n, data.ncols());
-        let cols = ColMajor::from_matrix(data);
-        // Squared row norms, once, through the same dispatched graph
-        // every tile shares. LANES extra zero cells: tail padding the
-        // strip kernel's full-width partial blocks read past column n.
-        let mut norms = vec![0.0f64; n + simd::LANES];
-        simd::norm_strip(cols.as_slice(), cols.stride(), data.ncols(), 0, &mut norms[..n]);
-        let norms = &norms;
-        let npairs = n * n.saturating_sub(1) / 2;
-        let mut d: Vec<f64> = Vec::with_capacity(npairs);
-        {
-            // SAFETY (from_uninit): the tiles cover every condensed cell
-            // exactly once, each cell is written before `set_len`, and
-            // the strip kernel writes a span fully before reading it.
-            let cells = unsafe { DisjointCells::from_uninit(d.spare_capacity_mut()) };
-            let cells = &cells;
-            pool.for_each_indexed(tiles.len(), |t| {
-                let mut tile_span = fgbs_trace::span("cluster.tile");
-                tile_span.arg_u64("tile", t as u64);
-                // SAFETY: `cells` wraps the condensed triangle of
-                // `tiles.n()` observations, and the pool runs each tile
-                // index exactly once — the `dist_tile` contract.
-                let pairs = unsafe {
-                    simd::dist_tile(data, norms, cols.as_slice(), cols.stride(), &tiles, t, cells)
-                };
-                // Deterministic per-tile pair count; totals sum
-                // identically for any scheduling.
-                tile_span.arg_u64("pairs", pairs);
-                fgbs_trace::counter("cluster.pairs", pairs);
-            });
-        }
-        // SAFETY: every one of the `npairs` cells was written above.
-        unsafe { d.set_len(npairs) };
+        let d = simd::dist_condensed(data);
+        fgbs_trace::counter("cluster.pairs", d.len() as u64);
         DistanceMatrix {
             d: Condensed::from_vec(n, d),
         }
+    }
+
+    /// [`DistanceMatrix::euclidean`], for callers that pass a pool:
+    /// `pool` is not used, and the build runs on the calling thread. A
+    /// whole suite's triangle is microseconds of work, less than a pool
+    /// fan-out costs.
+    pub fn euclidean_with(data: &Matrix, _pool: &WorkPool) -> DistanceMatrix {
+        DistanceMatrix::euclidean(data)
     }
 
     /// Build from an explicit full matrix accessor (for tests/ablations).
@@ -158,7 +119,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_build_is_bitwise_identical() {
+    fn euclidean_matches_the_per_pair_reference_bitwise() {
         let data = Matrix::from_rows(
             &(0..67)
                 .map(|i| {
@@ -168,19 +129,19 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let serial = DistanceMatrix::euclidean(&data);
-        for threads in [2, 4, 8] {
-            let pooled = DistanceMatrix::euclidean_with(&data, &WorkPool::new(threads));
-            assert_eq!(serial, pooled, "threads={threads}");
-        }
+        let want = DistanceMatrix::from_fn(data.nrows(), |i, j| {
+            let (a, b) = (data.row(i), data.row(j));
+            simd::dist_serial(a, b, simd::norm_serial(a), simd::norm_serial(b))
+        });
+        assert_eq!(DistanceMatrix::euclidean(&data), want);
     }
 
     #[test]
-    fn pooled_build_handles_degenerate_sizes() {
-        let pool = WorkPool::new(4);
-        let empty = Matrix::from_rows::<Vec<f64>>(&[]);
-        assert_eq!(DistanceMatrix::euclidean_with(&empty, &pool).len(), 0);
-        let one = DistanceMatrix::euclidean_with(&Matrix::from_rows(&[vec![1.0]]), &pool);
+    fn degenerate_sizes_build() {
+        assert_eq!(DistanceMatrix::euclidean(&Matrix::new()).len(), 0);
+        // No rows but several features: nothing to transpose.
+        assert_eq!(DistanceMatrix::euclidean(&Matrix::zeros(0, 3)).len(), 0);
+        let one = DistanceMatrix::euclidean(&Matrix::from_rows(&[vec![1.0]]));
         assert_eq!(one.len(), 1);
         assert_eq!(one.get(0, 0), 0.0);
     }

@@ -36,6 +36,7 @@
 //! assert_ne!(part.assignment(0), part.assignment(2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -14,7 +14,7 @@ use fgbs_clustering::{
     dendrogram_digest, linkage, naive_linkage, normalize, DistanceMatrix, Linkage,
     MaskedDistanceCache,
 };
-use fgbs_matrix::Matrix;
+use fgbs_matrix::{simd, Matrix};
 use proptest::prelude::*;
 
 fn matrix_strategy(max_rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -156,25 +156,21 @@ proptest! {
     }
 
     #[test]
-    fn linkage_agrees_over_the_tiled_distance_path(data in matrix_strategy(40, 4)) {
-        // The pooled tile scheduler must be invisible end to end: the
-        // same bitwise distance triangle at every thread count (40 rows
-        // spans several tiles at the minimum block edge), hence the
-        // same dendrogram digest through the chain.
+    fn linkage_agrees_over_the_per_pair_distance_reference(data in matrix_strategy(40, 4)) {
+        // The vectorised triangle kernel must be invisible end to end:
+        // the same bitwise distance triangle as the one-pair-at-a-time
+        // reference, hence the same dendrogram digest through the chain.
         let data = normalize(&data);
-        let serial = DistanceMatrix::euclidean(&data);
-        let want = dendrogram_digest(&linkage(&serial, Linkage::Ward));
-        for threads in [2, 8] {
-            let pool = fgbs_pool::WorkPool::new(threads);
-            let tiled = DistanceMatrix::euclidean_with(&data, &pool);
-            prop_assert_eq!(&tiled, &serial, "threads={}", threads);
-            prop_assert_eq!(
-                dendrogram_digest(&linkage(&tiled, Linkage::Ward)),
-                want,
-                "threads={}",
-                threads
-            );
-        }
+        let built = DistanceMatrix::euclidean(&data);
+        let reference = DistanceMatrix::from_fn(data.nrows(), |i, j| {
+            let (a, b) = (data.row(i), data.row(j));
+            simd::dist_serial(a, b, simd::norm_serial(a), simd::norm_serial(b))
+        });
+        prop_assert_eq!(&built, &reference);
+        prop_assert_eq!(
+            dendrogram_digest(&linkage(&built, Linkage::Ward)),
+            dendrogram_digest(&linkage(&reference, Linkage::Ward))
+        );
     }
 
     #[test]

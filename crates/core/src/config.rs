@@ -48,7 +48,7 @@ pub struct PipelineConfig {
     pub noise_seed: u64,
     /// Worker threads for the shared work pool (reference and target
     /// application runs, wellness and target microbenchmarks, GA
-    /// fitness, distance matrices). `1` runs everything inline;
+    /// fitness). `1` runs everything inline;
     /// `0` uses the machine's available parallelism. Results are
     /// identical for every value — parallelism never changes output.
     pub threads: usize,
@@ -94,11 +94,10 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// A configuration tuned for fast tests: low micro-run floor, small
-    /// elbow range.
+    /// The default configuration with the elbow range narrowed to 16
+    /// clusters, for fast tests.
     pub fn fast() -> Self {
         PipelineConfig {
-            micro_min_seconds: 2.0e-5,
             k_choice: KChoice::Elbow { max_k: 16 },
             ..PipelineConfig::default()
         }

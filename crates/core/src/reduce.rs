@@ -210,7 +210,7 @@ pub fn reduce_with_observations(
     stage_span.arg_u64("codelets", suite.len() as u64);
 
     let data = normalize(raw);
-    let dist = DistanceMatrix::euclidean_with(&data, &cfg.pool());
+    let dist = DistanceMatrix::euclidean(&data);
     let eligible = {
         let _wellness_span = fgbs_trace::span("reduce.wellness");
         wellness(suite, cfg, cache)

@@ -22,11 +22,8 @@
 //!   arithmetic body per kernel compiled for several instruction sets
 //!   (baseline, AVX2, AVX-512F) with a fixed accumulation order, so the
 //!   path the runtime probe picks is invisible in the output bits.
-//! * [`tile`] — cache-blocked tiling of the condensed triangle
-//!   ([`tile::TileMap`]), the column-major observation layout the strip
-//!   kernels stream over ([`tile::ColMajor`]), and the disjoint-span
-//!   writer ([`tile::DisjointCells`]) that lets a work pool reduce tiles
-//!   into one `Condensed` buffer in parallel.
+//!   [`simd::dist_condensed`] builds a whole distance triangle in one
+//!   dispatched pass of row strips over a column-major panel.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -35,7 +32,6 @@ mod condensed;
 mod dense;
 pub mod kernel;
 pub mod simd;
-pub mod tile;
 
 pub use condensed::Condensed;
 pub use dense::Matrix;

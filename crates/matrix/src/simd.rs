@@ -16,20 +16,17 @@
 //! Two accumulation orders exist, both fixed:
 //!
 //! * [`sq_dist`] — the single-pair kernel splits features over
-//!   [`LANES`] independent accumulators (lane `l` owns features
+//!   eight independent accumulators (lane `l` owns features
 //!   `l, l+8, …`) combined as a fixed tree, plus a serial tail. This
 //!   keeps the add chains short (ILP) for latency-bound single pairs.
-//! * [`sq_dist_strip`] — the direct tile kernel gives each *pair* one
-//!   lane and accumulates its features serially in index order, so a
-//!   pair's sum is one serial chain regardless of where the strip
-//!   starts or how wide the hardware is. [`sq_dist_serial`] is its
-//!   scalar reference.
-//! * [`dist_strip`] / [`norm_strip`] — the production tile kernels use
-//!   the norm identity `d² = ‖a‖² + ‖c‖² − 2·(a·c)`: one fma per
-//!   pair-feature instead of the direct form's subtract *and* fma,
-//!   halving FMA-port pressure, with the clamp `max(0, ·)` and the
-//!   square root fused into the same fixed graph. [`dist_serial`] is
-//!   their scalar reference.
+//! * [`dist_condensed`] — the whole-triangle kernel gives each *pair*
+//!   one lane and accumulates its features serially in index order, so
+//!   a pair's sum is one serial chain regardless of where its row's
+//!   strip starts or how wide the hardware is. It uses the norm
+//!   identity `d² = ‖a‖² + ‖c‖² − 2·(a·c)`: one fma per pair-feature
+//!   instead of a subtract *and* an fma, with the clamp `max(0, ·)` and
+//!   the square root fused into the same fixed graph. [`dist_serial`]
+//!   is its scalar reference.
 //!
 //! Fused multiply-add is part of the fixed graph, never a contraction
 //! the compiler may or may not apply: every accumulation step is an
@@ -38,12 +35,14 @@
 //! without it produce the same bits — slower there, never different.
 //! Rust licenses no reassociation, so the graph is the graph.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
+
+use crate::Matrix;
 
 /// Fixed logical lane count of the kernels' accumulation schemes. Wide
 /// enough to fill one AVX-512 register or two AVX2 registers; the
 /// scalar path executes the same eight-lane graph one lane at a time.
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// An instruction-set dispatch path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,23 +56,13 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Short stable name (used by `FGBS_SIMD` and telemetry).
+    /// Short stable name (for messages).
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
             Isa::Avx2 => "avx2",
             Isa::Avx512 => "avx512",
         }
-    }
-
-    /// Parse [`Isa::name`] back.
-    pub fn parse(s: &str) -> Option<Isa> {
-        Some(match s {
-            "scalar" => Isa::Scalar,
-            "avx2" => Isa::Avx2,
-            "avx512" => Isa::Avx512,
-            _ => return None,
-        })
     }
 
     /// Whether this machine can execute the path. The vector paths are
@@ -112,45 +101,11 @@ impl Isa {
     }
 }
 
-/// Active path, chosen once: 0 = unset, else `Isa as u8 + 1`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn encode(isa: Isa) -> u8 {
-    match isa {
-        Isa::Scalar => 1,
-        Isa::Avx2 => 2,
-        Isa::Avx512 => 3,
-    }
-}
-
-fn decode(v: u8) -> Isa {
-    match v {
-        2 => Isa::Avx2,
-        3 => Isa::Avx512,
-        _ => Isa::Scalar,
-    }
-}
-
-/// The dispatch path every kernel call uses, resolved once per process:
-/// the widest supported ISA, unless `FGBS_SIMD=scalar|avx2|avx512`
-/// pins a narrower one (an unsupported or unknown request falls back to
-/// detection). Because all paths are bitwise-identical, this knob is an
-/// ablation/benchmark lever, never a correctness one.
+/// The dispatch path every kernel call uses: the widest supported ISA
+/// ([`Isa::detect`]), probed once per process.
 pub fn active() -> Isa {
-    let v = ACTIVE.load(Ordering::Relaxed);
-    if v != 0 {
-        return decode(v);
-    }
-    let chosen = match std::env::var("FGBS_SIMD") {
-        Ok(s) => match Isa::parse(&s) {
-            Some(isa) if isa.is_supported() => isa,
-            _ => Isa::detect(),
-        },
-        Err(_) => Isa::detect(),
-    };
-    // A racing first call picks the same value: detection is pure.
-    ACTIVE.store(encode(chosen), Ordering::Relaxed);
-    chosen
+    static ACTIVE: OnceLock<Isa> = OnceLock::new();
+    *ACTIVE.get_or_init(Isa::detect)
 }
 
 // ---------------------------------------------------------------------
@@ -188,63 +143,6 @@ fn sq_dist_body(a: &[f64], b: &[f64]) -> f64 {
         tail = d.mul_add(d, tail);
     }
     (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))) + tail
-}
-
-/// One register block of the strip kernels: squared distances from `a`
-/// to the `W` columns at `base`. The fixed-size array lets the
-/// vectoriser keep all `W` accumulators in registers; per pair the
-/// chain is still strictly serial in feature order.
-#[inline(always)]
-fn strip_acc<const W: usize>(a: &[f64], cols: &[f64], stride: usize, base: usize) -> [f64; W] {
-    let d = a.len();
-    // One bounds proof for the whole block — the highest feature's
-    // window is the furthest access — so the inner loops run
-    // branch-free at full FMA-port throughput.
-    assert!(
-        d == 0 || (d - 1) * stride + base + W <= cols.len(),
-        "strip block escapes the column-major buffer"
-    );
-    let mut acc = [0.0f64; W];
-    for (f, &av) in a.iter().enumerate() {
-        let start = f * stride + base;
-        // SAFETY: `start + W ≤ (d−1)·stride + base + W ≤ cols.len()`,
-        // proven by the assert above.
-        let col = unsafe { cols.get_unchecked(start..start + W) };
-        for l in 0..W {
-            let d = col[l] - av;
-            acc[l] = d.mul_add(d, acc[l]);
-        }
-    }
-    acc
-}
-
-/// Pair-per-lane strip: `out[k]` gets the squared distance between `a`
-/// and column `j0 + k` of the column-major block `cols` (feature `f` of
-/// column `j` lives at `cols[f * stride + j]`). Each pair's features
-/// accumulate serially in index order — one fused-multiply-add chain
-/// per pair — so the result is independent of `j0` alignment, strip
-/// width, block grouping and lane width.
-///
-/// A final partial block is computed at full [`LANES`] width into the
-/// tail padding the column block carries (see [`crate::tile::ColMajor`])
-/// and only the live prefix is copied out — serial scalar pairs are
-/// latency-bound and would dominate narrow strips.
-#[inline(always)]
-fn sq_dist_strip_body(a: &[f64], cols: &[f64], stride: usize, j0: usize, out: &mut [f64]) {
-    let width = out.len();
-    let mut k = 0;
-    while k + BLOCK <= width {
-        out[k..k + BLOCK].copy_from_slice(&strip_acc::<BLOCK>(a, cols, stride, j0 + k));
-        k += BLOCK;
-    }
-    while k + LANES <= width {
-        out[k..k + LANES].copy_from_slice(&strip_acc::<LANES>(a, cols, stride, j0 + k));
-        k += LANES;
-    }
-    if k < width {
-        let acc = strip_acc::<LANES>(a, cols, stride, j0 + k);
-        out[k..width].copy_from_slice(&acc[..width - k]);
-    }
 }
 
 /// One register block of the dot-product strip: inner products of `a`
@@ -290,30 +188,30 @@ fn norm_acc<const W: usize>(cols: &[f64], stride: usize, d: usize, base: usize) 
     acc
 }
 
-/// Squared norms of a strip of columns: `out[k] = ‖column(j0 + k)‖²`,
-/// each a serial feature-order fma chain (the `a == column` special
-/// case of the dot strip, without needing a row-major copy). The tail
-/// runs at full width into the column block's padding, like
-/// [`sq_dist_strip_body`].
+/// Squared norms of the first `out.len()` columns of the panel:
+/// `out[j] = ‖column j‖²`, each a serial feature-order fma chain (the
+/// `a == column` special case of the dot strip, without needing a
+/// row-major copy). The tail runs at full width into the panel's
+/// padding, like [`dist_strip_body`].
 #[inline(always)]
-fn norm_strip_body(cols: &[f64], stride: usize, d: usize, j0: usize, out: &mut [f64]) {
+fn norm_strip_body(cols: &[f64], stride: usize, d: usize, out: &mut [f64]) {
     let width = out.len();
     let mut k = 0;
     while k + LANES <= width {
-        out[k..k + LANES].copy_from_slice(&norm_acc::<LANES>(cols, stride, d, j0 + k));
+        out[k..k + LANES].copy_from_slice(&norm_acc::<LANES>(cols, stride, d, k));
         k += LANES;
     }
     if k < width {
-        let acc = norm_acc::<LANES>(cols, stride, d, j0 + k);
+        let acc = norm_acc::<LANES>(cols, stride, d, k);
         out[k..width].copy_from_slice(&acc[..width - k]);
     }
 }
 
-/// Euclidean distances from `a` to a strip of columns by the norm
-/// identity `d²(a, c) = ‖a‖² + ‖c‖² − 2·(a·c)`, fused end to end: dot
-/// strip, then per pair the fixed epilogue
-/// `sqrt(max(0, fma(−2, a·c, ‖a‖² + ‖c‖²)))` while the block is
-/// cache-hot. One fma per pair-feature — half the FMA-port pressure of
+/// Euclidean distances from `a` to the panel's columns `j0..stride`,
+/// appended to `out`, by the norm identity `d²(a, c) = ‖a‖² + ‖c‖² −
+/// 2·(a·c)`, fused end to end: dot strip, then per pair the fixed
+/// epilogue `sqrt(max(0, fma(−2, a·c, ‖a‖² + ‖c‖²)))` while the block
+/// is cache-hot. One fma per pair-feature — half the FMA-port pressure of
 /// the subtract-then-square form — at the price of the usual norm-trick
 /// cancellation for nearly-identical columns (absolute error
 /// ~ulp(‖a‖² + ‖c‖²); the clamp makes exact duplicates come out 0, not
@@ -326,7 +224,7 @@ fn dist_strip_body(
     norms: &[f64],
     stride: usize,
     j0: usize,
-    out: &mut [f64],
+    out: &mut Vec<f64>,
 ) {
     // Per register block: dot strip, then the epilogue immediately,
     // while the block is in registers. The square-root unit grinds one
@@ -345,16 +243,16 @@ fn dist_strip_body(
         dist_epilogue(&mut acc, norm_a, nj);
         acc
     }
-    let width = out.len();
+    let width = stride - j0;
     let mut k = 0;
     while k + BLOCK <= width {
         let b = block::<BLOCK>(a, norm_a, cols, &norms[j0 + k..j0 + k + BLOCK], stride, j0 + k);
-        out[k..k + BLOCK].copy_from_slice(&b);
+        out.extend_from_slice(&b);
         k += BLOCK;
     }
     while k + LANES <= width {
         let b = block::<LANES>(a, norm_a, cols, &norms[j0 + k..j0 + k + LANES], stride, j0 + k);
-        out[k..k + LANES].copy_from_slice(&b);
+        out.extend_from_slice(&b);
         k += LANES;
     }
     if k < width {
@@ -362,16 +260,7 @@ fn dist_strip_body(
         // carry past the data (zeros ⇒ the surplus lanes compute
         // `sqrt(max(0, ·))` of finite junk — discarded, never UB).
         let b = block::<LANES>(a, norm_a, cols, &norms[j0 + k..j0 + k + LANES], stride, j0 + k);
-        out[k..width].copy_from_slice(&b[..width - k]);
-    }
-}
-
-/// In-place square root over a buffer. `sqrt` is correctly rounded on
-/// every path, so vector and scalar codegen agree bit for bit.
-#[inline(always)]
-fn sqrt_body(v: &mut [f64]) {
-    for x in v.iter_mut() {
-        *x = x.sqrt();
+        out.extend_from_slice(&b[..width - k]);
     }
 }
 
@@ -385,42 +274,40 @@ fn dist_epilogue<const W: usize>(acc: &mut [f64; W], norm_a: f64, nj: &[f64]) {
     }
 }
 
-/// A whole condensed tile of [`dist_strip_body`] strips: the row loop
-/// runs *inside* the dispatched function, so a tile costs one dispatch
-/// (and one cold `#[target_feature]` prologue) instead of one per row.
-/// Returns the tile's pair count (a pure function of `(tiles, t)`, for
-/// deterministic telemetry).
-///
-/// The body discharges [`DisjointCells::slice_mut`]'s aliasing
-/// obligation with the tile map's exactly-once cell assignment; the
-/// caller contract for that step is documented on [`dist_tile`].
+/// The whole condensed triangle: the row norms, then for every row `i`
+/// one [`dist_strip_body`] strip over columns `i+1..n`, appended to
+/// `out`. In condensed order row `i`'s cells follow row `i−1`'s, so
+/// appending builds the triangle without first zero-filling it (which
+/// cost about 0.2 ms of a 1.5 ms build at n = 1024). The row loop runs
+/// inside the dispatched function: the triangle costs one dispatch (and
+/// one cold `#[target_feature]` prologue), not one per row.
 #[inline(always)]
-fn dist_tile_body(
-    data: &crate::Matrix,
-    norms: &[f64],
-    cols: &[f64],
-    stride: usize,
-    tiles: &crate::tile::TileMap,
-    t: usize,
-    cells: &crate::tile::DisjointCells<'_, f64>,
-) -> u64 {
-    let (rows, cr) = tiles.tile(t);
-    let mut pairs = 0u64;
-    for i in rows {
-        let j0 = cr.start.max(i + 1);
-        if j0 >= cr.end {
-            continue;
-        }
-        let width = cr.end - j0;
-        // SAFETY: the tile map assigns every condensed cell to exactly
-        // one (tile, row) span ([`TileMap`] coverage invariant), and
-        // the caller promises each tile index is in flight at most
-        // once, so concurrent spans never overlap.
-        let out = unsafe { cells.slice_mut(tiles.condensed_offset(i, j0), width) };
-        dist_strip_body(data.row(i), norms[i], cols, norms, stride, j0, out);
-        pairs += width as u64;
+fn dist_condensed_body(data: &Matrix, cols: &[f64], norms: &mut [f64], out: &mut Vec<f64>) {
+    let n = data.nrows();
+    norm_strip_body(cols, n, data.ncols(), &mut norms[..n]);
+    for i in 0..n {
+        dist_strip_body(data.row(i), norms[i], cols, norms, n, i + 1, out);
     }
-    pairs
+}
+
+/// The column-major panel the strip kernel streams over: feature `f` of
+/// row `j` at `[f * n + j]`, so one feature of consecutive rows is
+/// contiguous. [`LANES`] zero cells follow the data, so a final partial
+/// block runs at full lane width over padding instead of falling back
+/// to latency-bound scalar pairs.
+fn col_major(data: &Matrix) -> Vec<f64> {
+    let (n, d) = (data.nrows(), data.ncols());
+    let mut cols = vec![0.0f64; n * d + LANES];
+    let src = data.as_slice();
+    // Feature-outer, so every write is sequential: 3–5× faster than a
+    // row-outer loop at 1024 × 14. With no rows the walk is empty.
+    for f in 0..d {
+        let feature = src.get(f..).unwrap_or_default().iter().step_by(d);
+        for (c, &x) in cols[f * n..(f + 1) * n].iter_mut().zip(feature) {
+            *c = x;
+        }
+    }
+    cols
 }
 
 // ---------------------------------------------------------------------
@@ -449,19 +336,8 @@ macro_rules! dispatch_paths {
 
 dispatch_paths!(sq_dist_body => sq_dist_scalar, sq_dist_avx2, sq_dist_avx512,
     (a: &[f64], b: &[f64]) -> f64);
-dispatch_paths!(sq_dist_strip_body => strip_scalar, strip_avx2, strip_avx512,
-    (a: &[f64], cols: &[f64], stride: usize, j0: usize, out: &mut [f64]) -> ());
-dispatch_paths!(norm_strip_body => norm_scalar, norm_avx2, norm_avx512,
-    (cols: &[f64], stride: usize, d: usize, j0: usize, out: &mut [f64]) -> ());
-dispatch_paths!(dist_strip_body => dstrip_scalar, dstrip_avx2, dstrip_avx512,
-    (a: &[f64], norm_a: f64, cols: &[f64], norms: &[f64], stride: usize, j0: usize,
-     out: &mut [f64]) -> ());
-dispatch_paths!(sqrt_body => sqrt_scalar, sqrt_avx2, sqrt_avx512,
-    (v: &mut [f64]) -> ());
-dispatch_paths!(dist_tile_body => dtile_scalar, dtile_avx2, dtile_avx512,
-    (data: &crate::Matrix, norms: &[f64], cols: &[f64], stride: usize,
-     tiles: &crate::tile::TileMap, t: usize,
-     cells: &crate::tile::DisjointCells<'_, f64>) -> u64);
+dispatch_paths!(dist_condensed_body => dcond_scalar, dcond_avx2, dcond_avx512,
+    (data: &Matrix, cols: &[f64], norms: &mut [f64], out: &mut Vec<f64>) -> ());
 
 #[cfg(not(target_arch = "x86_64"))]
 macro_rules! run_path {
@@ -500,10 +376,9 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     run_path!(active(), sq_dist_scalar, sq_dist_avx2, sq_dist_avx512, (a, b))
 }
 
-/// The strip kernels' scalar reference: one serial feature-order
-/// fused-multiply-add chain per pair. Every [`sq_dist_strip`] output
-/// cell equals this bit for bit, on every path, at every strip offset;
-/// every [`dist_strip`] cell equals its square root.
+/// One serial feature-order fused-multiply-add chain of squared
+/// differences: a plain reference that [`sq_dist`]'s lane tree matches
+/// to ordinary rounding, not bit for bit.
 pub fn sq_dist_serial(a: &[f64], b: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (x, y) in a.iter().zip(b) {
@@ -513,160 +388,46 @@ pub fn sq_dist_serial(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Squared distances from `a` to a strip of columns on an explicit path
-/// (see [`sq_dist_strip`]).
+/// Euclidean distances between all pairs of rows of `data` on an
+/// explicit path (see [`dist_condensed`]).
 ///
 /// # Panics
 ///
 /// Panics when `isa` is not supported by this machine.
-pub fn sq_dist_strip_with(
-    isa: Isa,
-    a: &[f64],
-    cols: &[f64],
-    stride: usize,
-    j0: usize,
-    out: &mut [f64],
-) {
+pub fn dist_condensed_with(isa: Isa, data: &Matrix) -> Vec<f64> {
     assert!(isa.is_supported(), "{} is not supported here", isa.name());
-    run_path!(isa, strip_scalar, strip_avx2, strip_avx512, (a, cols, stride, j0, out))
-}
-
-/// Squared distances from row `a` to the `out.len()` columns starting
-/// at `j0` of a column-major block (`cols[f * stride + j]` holds
-/// feature `f` of column `j`), on the active path. Each output cell is
-/// bitwise-equal to [`sq_dist_serial`] of the same pair.
-///
-/// `cols` must extend [`LANES`] cells past the last feature's window
-/// (tail padding, asserted; [`crate::tile::ColMajor`] provides it) so a
-/// partial final block can run at full width.
-#[inline]
-pub fn sq_dist_strip(a: &[f64], cols: &[f64], stride: usize, j0: usize, out: &mut [f64]) {
-    run_path!(active(), strip_scalar, strip_avx2, strip_avx512, (a, cols, stride, j0, out))
-}
-
-/// Column norms for a strip on an explicit path (see [`norm_strip`]).
-///
-/// # Panics
-///
-/// Panics when `isa` is not supported by this machine.
-pub fn norm_strip_with(
-    isa: Isa,
-    cols: &[f64],
-    stride: usize,
-    d: usize,
-    j0: usize,
-    out: &mut [f64],
-) {
-    assert!(isa.is_supported(), "{} is not supported here", isa.name());
-    run_path!(isa, norm_scalar, norm_avx2, norm_avx512, (cols, stride, d, j0, out))
-}
-
-/// Squared norms of the `out.len()` columns starting at `j0` of a
-/// column-major block with `d` features: `out[k] = ‖column(j0 + k)‖²`,
-/// each one serial feature-order fma chain, on the active path.
-/// Bitwise equal to [`sq_dist_serial`] of the column against a zero
-/// row, on every path.
-#[inline]
-pub fn norm_strip(cols: &[f64], stride: usize, d: usize, j0: usize, out: &mut [f64]) {
-    run_path!(active(), norm_scalar, norm_avx2, norm_avx512, (cols, stride, d, j0, out))
-}
-
-/// Euclidean distances for a strip on an explicit path (see
-/// [`dist_strip`]).
-///
-/// # Panics
-///
-/// Panics when `isa` is not supported by this machine.
-#[allow(clippy::too_many_arguments)]
-pub fn dist_strip_with(
-    isa: Isa,
-    a: &[f64],
-    norm_a: f64,
-    cols: &[f64],
-    norms: &[f64],
-    stride: usize,
-    j0: usize,
-    out: &mut [f64],
-) {
-    assert!(isa.is_supported(), "{} is not supported here", isa.name());
+    let n = data.nrows();
+    let cols = col_major(data);
+    // LANES zero cells past the last norm, like the panel's padding.
+    let mut norms = vec![0.0f64; n + LANES];
+    let mut out = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     run_path!(
         isa,
-        dstrip_scalar,
-        dstrip_avx2,
-        dstrip_avx512,
-        (a, norm_a, cols, norms, stride, j0, out)
-    )
+        dcond_scalar,
+        dcond_avx2,
+        dcond_avx512,
+        (data, &cols, &mut norms, &mut out)
+    );
+    out
 }
 
-/// Euclidean distances from row `a` (with precomputed squared norm
-/// `norm_a`) to the `out.len()` columns starting at `j0`, by the fixed
-/// norm-identity graph `sqrt(max(0, fma(−2, a·c, norm_a + norms[c])))`
-/// with one serial fma chain per dot product, on the active path.
-/// [`dist_serial`] is the scalar reference every path matches bit for
-/// bit; `norms` must come from [`norm_strip`] (or any bitwise-equal
-/// computation) for the identity to stay deterministic.
-///
-/// Both `cols` and `norms` must carry [`LANES`] cells of tail padding
-/// past the last column (zeros; [`crate::tile::ColMajor`] provides the
-/// former) so a partial final block can run at full width.
-#[inline]
-pub fn dist_strip(
-    a: &[f64],
-    norm_a: f64,
-    cols: &[f64],
-    norms: &[f64],
-    stride: usize,
-    j0: usize,
-    out: &mut [f64],
-) {
-    run_path!(
-        active(),
-        dstrip_scalar,
-        dstrip_avx2,
-        dstrip_avx512,
-        (a, norm_a, cols, norms, stride, j0, out)
-    )
+/// Euclidean distances between all pairs of rows of `data` on the
+/// active path, in condensed upper-triangular order `(0,1), (0,2), …,
+/// (n−2,n−1)`. Each cell is the fixed norm-identity graph
+/// `sqrt(max(0, fma(−2, a·c, ‖a‖² + ‖c‖²)))`, with one serial
+/// feature-order fma chain for the dot product and one for each norm,
+/// so it equals [`dist_serial`]`(a, c, norm_serial(a), norm_serial(c))`
+/// bit for bit on every path. One fma per pair-feature halves the
+/// FMA-port pressure of the subtract-then-square form, at the price of
+/// the norm identity's cancellation for nearly identical rows (absolute
+/// error ~ulp(‖a‖² + ‖c‖²); exact duplicates come out 0, not NaN).
+pub fn dist_condensed(data: &Matrix) -> Vec<f64> {
+    dist_condensed_with(active(), data)
 }
 
-/// One condensed tile of [`dist_strip`] strips on the active path: the
-/// row loop lives inside the dispatched function, so the whole tile
-/// costs a single dispatch. Writes, for every row `i` the tile covers,
-/// the distances to columns `max(j0, i+1)..j1` into the row's span of
-/// `cells` (the condensed triangle, located by
-/// [`crate::tile::TileMap::condensed_offset`]); returns the pair count.
-/// Output cells are bitwise-equal to [`dist_serial`], like
-/// [`dist_strip`], whose padding contract (`cols` from
-/// [`crate::tile::ColMajor`], `norms` with [`LANES`] zero tail cells)
-/// carries over.
-///
-/// # Safety
-///
-/// `cells` must wrap the condensed triangle of exactly `tiles.n()`
-/// observations, and no two calls for the same tile index `t` may run
-/// concurrently — together with the tile map's exactly-once cell
-/// assignment this makes all concurrent writes disjoint.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn dist_tile(
-    data: &crate::Matrix,
-    norms: &[f64],
-    cols: &[f64],
-    stride: usize,
-    tiles: &crate::tile::TileMap,
-    t: usize,
-    cells: &crate::tile::DisjointCells<'_, f64>,
-) -> u64 {
-    run_path!(
-        active(),
-        dtile_scalar,
-        dtile_avx2,
-        dtile_avx512,
-        (data, norms, cols, stride, tiles, t, cells)
-    )
-}
-
-/// The [`dist_strip`] scalar reference: the same fixed norm-identity
-/// graph, one pair at a time — serial fma dot product, then
-/// `sqrt(max(0, fma(−2, a·b, norm_a + norm_b)))`.
+/// The [`dist_condensed`] scalar reference: the same fixed
+/// norm-identity graph, one pair at a time — serial fma dot product,
+/// then `sqrt(max(0, fma(−2, a·b, norm_a + norm_b)))`.
 pub fn dist_serial(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -> f64 {
     let mut dot = 0.0;
     for (x, y) in a.iter().zip(b) {
@@ -675,33 +436,15 @@ pub fn dist_serial(a: &[f64], b: &[f64], norm_a: f64, norm_b: f64) -> f64 {
     (-2.0f64).mul_add(dot, norm_a + norm_b).max(0.0).sqrt()
 }
 
-/// The [`norm_strip`] scalar reference: one serial feature-order fma
-/// chain, `acc = x·x + acc`. Every norm-strip cell equals this bit for
-/// bit, on every path — it is the row-side `norm_a` companion to
-/// [`dist_serial`] when no column-major copy of the row exists.
+/// The row-norm reference for [`dist_serial`]: one serial
+/// feature-order fma chain, `acc = x·x + acc`. [`dist_condensed`]
+/// computes every row's norm bit for bit like this, on every path.
 pub fn norm_serial(a: &[f64]) -> f64 {
     let mut acc = 0.0;
     for &x in a {
         acc = x.mul_add(x, acc);
     }
     acc
-}
-
-/// In-place square root on an explicit path.
-///
-/// # Panics
-///
-/// Panics when `isa` is not supported by this machine.
-pub fn sqrt_in_place_with(isa: Isa, v: &mut [f64]) {
-    assert!(isa.is_supported(), "{} is not supported here", isa.name());
-    run_path!(isa, sqrt_scalar, sqrt_avx2, sqrt_avx512, (v))
-}
-
-/// In-place square root over a buffer on the active path (bitwise equal
-/// to scalar `f64::sqrt` — correctly rounded everywhere).
-#[inline]
-pub fn sqrt_in_place(v: &mut [f64]) {
-    run_path!(active(), sqrt_scalar, sqrt_avx2, sqrt_avx512, (v))
 }
 
 #[cfg(test)]
@@ -720,15 +463,7 @@ mod tests {
         let all = Isa::supported();
         assert!(all.contains(&Isa::Scalar));
         assert!(all.contains(&Isa::detect()));
-        assert!(Isa::supported().contains(&active()));
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512] {
-            assert_eq!(Isa::parse(isa.name()), Some(isa));
-        }
-        assert_eq!(Isa::parse("mmx"), None);
+        assert_eq!(active(), Isa::detect());
     }
 
     #[test]
@@ -748,105 +483,22 @@ mod tests {
         }
     }
 
-    /// Tail padding the strip kernels require (see [`ColMajor`]):
-    /// `LANES` zero cells past the data.
-    fn pad(mut cols: Vec<f64>) -> Vec<f64> {
-        cols.resize(cols.len() + LANES, 0.0);
-        cols
-    }
-
     #[test]
-    fn strip_matches_serial_reference_bitwise() {
-        // 5 features × 23 columns, deliberately odd sizes.
-        let (d, n) = (5usize, 23usize);
-        let a = row(d, 0xC2B2);
-        let cols: Vec<f64> = pad(row(d * n, 0x27D4));
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|j| (0..d).map(|f| cols[f * n + j]).collect())
-            .collect();
-        for j0 in [0usize, 1, 3, 8] {
-            let width = n - j0;
-            for isa in Isa::supported() {
-                let mut out = vec![0.0; width];
-                sq_dist_strip_with(isa, &a, &cols, n, j0, &mut out);
-                for (k, got) in out.iter().enumerate() {
-                    let want = sq_dist_serial(&a, &rows[j0 + k]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "j0={j0} k={k} {}", isa.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn norm_and_dist_strips_match_serial_reference_bitwise() {
-        let (d, n) = (7usize, 29usize);
-        let cols: Vec<f64> = pad(row(d * n, 0x51ED));
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|j| (0..d).map(|f| cols[f * n + j]).collect())
-            .collect();
-        let mut norms = vec![0.0; n + LANES];
-        norm_strip_with(Isa::Scalar, &cols, n, d, 0, &mut norms[..n]);
-        for (j, r) in rows.iter().enumerate() {
-            assert_eq!(norms[j].to_bits(), norm_serial(r).to_bits());
-        }
-        let a = row(d, 0x1234);
-        let norm_a = norm_serial(&a);
-        for isa in Isa::supported() {
-            let mut nn = vec![0.0; n];
-            norm_strip_with(isa, &cols, n, d, 0, &mut nn);
-            for (k, v) in nn.iter().enumerate() {
-                assert_eq!(v.to_bits(), norms[k].to_bits(), "norm k={k} {}", isa.name());
-            }
-            for j0 in [0usize, 1, 5] {
-                let width = n - j0;
-                let mut out = vec![0.0; width];
-                dist_strip_with(isa, &a, norm_a, &cols, &norms, n, j0, &mut out);
-                for (k, got) in out.iter().enumerate() {
-                    let want = dist_serial(&a, &rows[j0 + k], norm_a, norms[j0 + k]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "j0={j0} k={k} {}", isa.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dist_strip_identical_columns_come_out_zero() {
+    fn condensed_identical_rows_come_out_zero() {
         // The norm identity cancels catastrophically for duplicates;
         // the clamp must turn the tiny negative residue into 0, not
         // NaN.
-        let d = 9usize;
-        let a = row(d, 0xBEEF);
-        // Two columns: an exact copy of `a`, and a near copy.
-        let n = 2usize;
-        let mut cols = vec![0.0; d * n + LANES];
-        for f in 0..d {
-            cols[f * n] = a[f];
-            // Perturb by more than the identity's cancellation floor
-            // (~ulp of the norms): below it, near-duplicates round to
-            // exactly 0 by design.
-            cols[f * n + 1] = a[f] + if f == 0 { 1e-3 } else { 0.0 };
-        }
-        let mut norms = vec![0.0; n + LANES];
-        norm_strip(&cols, n, d, 0, &mut norms[..n]);
-        let norm_a = norm_serial(&a);
-        let mut out = vec![0.0; n];
-        dist_strip(&a, norm_a, &cols, &norms, n, 0, &mut out);
-        assert_eq!(out[0], 0.0, "exact duplicate");
-        assert!(out[1].is_finite() && out[1] > 0.0, "near duplicate: {}", out[1]);
-    }
-
-    #[test]
-    fn sqrt_paths_agree() {
-        let v = row(37, 0xDEAD).iter().map(|x| x * x).collect::<Vec<_>>();
-        let mut reference = v.clone();
-        sqrt_in_place_with(Isa::Scalar, &mut reference);
-        for isa in Isa::supported() {
-            let mut w = v.clone();
-            sqrt_in_place_with(isa, &mut w);
-            for (a, b) in w.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{}", isa.name());
-            }
-        }
+        let a = row(9, 0xBEEF);
+        let mut near = a.clone();
+        // Perturb by more than the identity's cancellation floor (~ulp
+        // of the norms): below it, near-duplicates round to exactly 0
+        // by design.
+        near[0] += 1e-3;
+        // Cells (0,1) exact copy, (0,2) near copy, (1,2) near copy.
+        let d = dist_condensed(&Matrix::from_rows(&[a.clone(), a, near]));
+        assert_eq!(d[0], 0.0, "exact duplicate");
+        assert!(d[1].is_finite() && d[1] > 0.0, "near duplicate: {}", d[1]);
+        assert_eq!(d[1], d[2]);
     }
 
     #[test]

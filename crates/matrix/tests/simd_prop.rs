@@ -2,11 +2,11 @@
 //! bitwise-equal to the scalar reference, across lengths 0..257, odd
 //! tails, strip offsets, and unaligned buffers.
 //!
-//! The kernels promise a *fixed accumulation order* (one serial
-//! feature-order fma chain per pair) on every path, so equality here is
-//! exact `to_bits` equality — no tolerance anywhere.
+//! The kernels promise a *fixed accumulation order* on every path, so
+//! equality here is exact `to_bits` equality — no tolerance anywhere.
 
-use fgbs_matrix::simd::{self, dist_serial, norm_serial, sq_dist_serial, Isa, LANES};
+use fgbs_matrix::simd::{self, dist_serial, norm_serial, sq_dist_serial, Isa};
+use fgbs_matrix::Matrix;
 use proptest::prelude::*;
 
 /// Deterministic value stream for synthesizing panels from one seed.
@@ -24,24 +24,9 @@ fn val(s: &mut u64) -> f64 {
 }
 
 /// `n` rows of `d` features, synthesized from `seed`.
-fn panel(n: usize, d: usize, seed: u64) -> Vec<Vec<f64>> {
+fn panel(n: usize, d: usize, seed: u64) -> Matrix {
     let mut s = seed;
-    (0..n).map(|_| (0..d).map(|_| val(&mut s)).collect()).collect()
-}
-
-/// The column-major copy the strip kernels consume: `cols[f * stride +
-/// j]` with `stride = n` and `LANES` zero cells of tail padding, the
-/// whole thing shifted `shift` cells into a larger allocation so the
-/// live slice starts unaligned whenever `shift % 8 != 0`.
-fn colmajor(rows: &[Vec<f64>], d: usize, shift: usize) -> Vec<f64> {
-    let n = rows.len();
-    let mut buf = vec![0.0f64; shift + d * n + LANES];
-    for (j, row) in rows.iter().enumerate() {
-        for (f, &v) in row.iter().enumerate() {
-            buf[shift + f * n + j] = v;
-        }
-    }
-    buf
+    Matrix::from_flat(n, d, (0..n * d).map(|_| val(&mut s)).collect())
 }
 
 proptest! {
@@ -79,81 +64,29 @@ proptest! {
     }
 
     #[test]
-    fn strip_kernels_every_path_match_serial(
+    fn dist_condensed_every_path_matches_serial(
         n in 0usize..257,
         d in 0usize..10,
         seed in any::<u64>(),
-        j0_frac in 0.0f64..1.0,
-        shift in 0usize..4,
     ) {
-        let rows = panel(n, d, seed);
-        let mut s = seed ^ 0xABCD;
-        let a: Vec<f64> = (0..d).map(|_| val(&mut s)).collect();
-        let buf = colmajor(&rows, d, shift);
-        let (cols, stride) = (&buf[shift..], n);
-        // An arbitrary strip offset: odd tails come from `n - j0` not
-        // being a multiple of the block width.
-        let j0 = ((n as f64) * j0_frac) as usize;
-        let width = n - j0;
-
-        let mut norms = vec![0.0f64; n + LANES];
-        simd::norm_strip(cols, stride, d, 0, &mut norms[..n]);
-        for (j, row) in rows.iter().enumerate() {
-            prop_assert_eq!(norms[j].to_bits(), norm_serial(row).to_bits());
-        }
-        let norm_a = norm_serial(&a);
-
-        let mut sq = vec![0.0f64; width];
-        let mut dist = vec![0.0f64; width];
-        let mut nrm = vec![0.0f64; width];
+        // Row `i` is one strip at column offset `i + 1` and width
+        // `n - i - 1`, so one triangle covers every strip offset and
+        // every tail width below `n`.
+        let m = panel(n, d, seed);
         for isa in Isa::supported() {
-            sq.fill(-1.0);
-            simd::sq_dist_strip_with(isa, &a, cols, stride, j0, &mut sq);
-            dist.fill(-1.0);
-            simd::dist_strip_with(isa, &a, norm_a, cols, &norms, stride, j0, &mut dist);
-            nrm.fill(-1.0);
-            simd::norm_strip_with(isa, cols, stride, d, j0, &mut nrm);
-            for k in 0..width {
-                let row = &rows[j0 + k];
-                prop_assert_eq!(
-                    sq[k].to_bits(), sq_dist_serial(&a, row).to_bits(),
-                    "sq_dist_strip[{}] on {} (n={}, d={}, j0={})",
-                    k, isa.name(), n, d, j0
-                );
-                prop_assert_eq!(
-                    dist[k].to_bits(),
-                    dist_serial(&a, row, norm_a, norm_serial(row)).to_bits(),
-                    "dist_strip[{}] on {} (n={}, d={}, j0={})",
-                    k, isa.name(), n, d, j0
-                );
-                prop_assert_eq!(
-                    nrm[k].to_bits(), norm_serial(row).to_bits(),
-                    "norm_strip[{}] on {} (n={}, d={}, j0={})",
-                    k, isa.name(), n, d, j0
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sqrt_every_path_matches_scalar(
-        len in 0usize..258,
-        seed in any::<u64>(),
-        shift in 0usize..4,
-    ) {
-        let mut s = seed;
-        let v: Vec<f64> = (0..len).map(|_| val(&mut s).abs() * 1e6).collect();
-        let mut parent = vec![0.0f64; shift];
-        parent.extend(&v);
-        let want: Vec<u64> = v.iter().map(|x| x.sqrt().to_bits()).collect();
-        for isa in Isa::supported() {
-            let mut got = parent.clone();
-            simd::sqrt_in_place_with(isa, &mut got[shift..]);
-            for (k, w) in want.iter().enumerate() {
-                prop_assert_eq!(
-                    got[shift + k].to_bits(), *w,
-                    "sqrt_in_place[{}] on {}", k, isa.name()
-                );
+            let got = simd::dist_condensed_with(isa, &m);
+            prop_assert_eq!(got.len(), n * n.saturating_sub(1) / 2);
+            let mut cell = 0;
+            for i in 0..n {
+                for j in i + 1..n {
+                    let (a, b) = (m.row(i), m.row(j));
+                    let want = dist_serial(a, b, norm_serial(a), norm_serial(b));
+                    prop_assert_eq!(
+                        got[cell].to_bits(), want.to_bits(),
+                        "cell ({}, {}) on {} (n={}, d={})", i, j, isa.name(), n, d
+                    );
+                    cell += 1;
+                }
             }
         }
     }

@@ -1,9 +1,9 @@
 //! The shared work pool: one parallel executor for every hot loop.
 //!
-//! The simulator's application and microbenchmark runs, GA fitness
-//! evaluation and distance-matrix construction all reduce to the same
-//! shape — *map a pure function over an index range* — so they share this
-//! one executor instead of each spawning raw threads.
+//! The simulator's application and microbenchmark runs and GA fitness
+//! evaluation all reduce to the same shape — *map a pure function over
+//! an index range* — so they share this one executor instead of each
+//! spawning raw threads.
 //!
 //! # Design
 //!
@@ -198,8 +198,8 @@ impl WorkPool {
             .collect()
     }
 
-    /// Run `f` for every index in `0..n`, for side effects (e.g. tile
-    /// reductions into disjoint spans of one shared buffer).
+    /// Run `f` for every index in `0..n`, for side effects (e.g.
+    /// filling a shared memo of microbenchmark results).
     ///
     /// Same scheduling and determinism contract as
     /// [`WorkPool::map_indexed`]: every index runs exactly once, and

@@ -29,7 +29,7 @@ mod mg;
 mod sp;
 
 use fgbs_extract::Application;
-use fgbs_isa::{AffineExpr, BinOp, Codelet, CodeletBuilder, ExprHandle, Precision};
+use fgbs_isa::{AffineExpr, BinOp, Codelet, CodeletBuilder, Precision};
 
 use crate::common::Class;
 
@@ -208,13 +208,6 @@ pub(crate) fn flux(app: &str, name: &str, c1: f64, c2: f64) -> Codelet {
 
 /// Helper re-exported to app modules.
 pub(crate) use crate::common::Alloc;
-
-/// Convenience for `ExprHandle` chains that need a no-op (documentation of
-/// intent in kernels built from closures).
-#[allow(dead_code)]
-pub(crate) fn id(e: ExprHandle) -> ExprHandle {
-    e
-}
 
 #[cfg(test)]
 mod tests {

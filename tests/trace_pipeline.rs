@@ -17,7 +17,7 @@ use fgbs::core::{
 use fgbs::genetic::GaConfig;
 use fgbs::machine::{Arch, PARK_SCALE};
 use fgbs::suites::{nr_suite, Class};
-use fgbs::trace::{self, Trace};
+use fgbs::trace::{self, ArgValue, Trace};
 
 /// Run the whole pipeline at `threads` workers and return the drained
 /// trace.
@@ -95,14 +95,19 @@ fn trace_content_is_identical_across_thread_counts() {
     assert!(per_k.iter().all(|s| s.parent == Some(sweep_id)));
 
     // 3. Worker spans graft under the pool.map that submitted them:
-    //    cluster.distance parents its pool.map, whose workers recorded
-    //    on other threads at 8 workers.
-    let dist = parallel.spans_named("cluster.distance");
-    assert!(!dist.is_empty());
-    let maps = parallel.spans_named("pool.map");
-    assert!(dist
+    //    every profile.target span, recorded on a worker thread at 8
+    //    workers, has as its parent the pool.map over the 10 apps that
+    //    submitted it.
+    let targets = parallel.spans_named("profile.target");
+    assert!(!targets.is_empty());
+    let app_maps: Vec<_> = parallel
+        .spans_named("pool.map")
+        .into_iter()
+        .filter(|m| m.args.iter().any(|a| *a == ("items", ArgValue::U64(10))))
+        .collect();
+    assert!(targets
         .iter()
-        .all(|d| maps.iter().any(|m| m.parent == Some(d.id))));
+        .all(|t| app_maps.iter().any(|m| t.parent == Some(m.id))));
 
     // 4. Deterministic counters carry pipeline totals.
     assert_eq!(parallel.counter("profile.codelets"), 10);
