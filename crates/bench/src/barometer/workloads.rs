@@ -25,7 +25,7 @@ use fgbs_clustering::naive_linkage;
 use fgbs_core::{profile_reference, reduce_cached, select_features_ga, KChoice, MicroCache, PipelineConfig};
 use fgbs_extract::Application;
 use fgbs_genetic::GaConfig;
-use fgbs_isa::{compile, BindingBuilder, CodeletBuilder, CompileMode, Precision};
+use fgbs_isa::{compile, Binding, BindingBuilder, Codelet, CodeletBuilder, CompileMode, Precision};
 use fgbs_machine::{Arch, CacheSim, Machine, PARK_SCALE};
 use fgbs_matrix::Matrix;
 use fgbs_pool::WorkPool;
@@ -145,6 +145,8 @@ pub(crate) const WORKLOADS: &[(&str, Workload)] = &[
     ("serve_load_event_p99", serve_load_p99),
     ("serve_load_event_wall", serve_load_wall),
     ("machine_run_triad", machine_run_triad),
+    ("machine_run_stencil", machine_run_stencil),
+    ("machine_run_gather", machine_run_gather),
     ("machine_cache_access", machine_cache_access),
 ];
 
@@ -465,10 +467,20 @@ fn serve_load_wall(def: &BenchDef, samples: usize, threads: usize) -> Samples {
     serve_load(ServeStat::Wall, def.size, threads, samples)
 }
 
-/// One simulated invocation of a STREAM-style triad over `size`
-/// doubles per array on the scaled Nehalem: the simulator's own cost.
-fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+/// One simulated invocation of `codelet` under `binding` on the scaled
+/// Nehalem: the simulator's own cost.
+fn machine_run(def: &BenchDef, samples: usize, codelet: &Codelet, binding: &Binding) -> Samples {
     let arch = Arch::nehalem().scaled(PARK_SCALE);
+    let kernel = compile(codelet, &arch.target(), CompileMode::InApp);
+    let mut machine = Machine::new(arch);
+    Ok(run_samples(def.batch, samples, |_| {
+        black_box(machine.run(&kernel, binding));
+    }))
+}
+
+/// A STREAM-style triad over `size` doubles per array: every iteration
+/// but the first on each line is a same-line replay.
+fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
     let codelet = CodeletBuilder::new("triad", "bench")
         .array("a", Precision::F64)
         .array("b", Precision::F64)
@@ -476,7 +488,6 @@ fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples
         .param_loop("n")
         .store("c", &[1], |bd| bd.load("a", &[1]) * 2.0 + bd.load("b", &[1]))
         .build();
-    let kernel = compile(&codelet, &arch.target(), CompileMode::InApp);
     let n = def.size as u64;
     let binding = BindingBuilder::new(0)
         .vector(n, 8)
@@ -484,10 +495,46 @@ fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples
         .vector(n, 8)
         .param(n)
         .build_for(&codelet);
-    let mut machine = Machine::new(arch);
-    Ok(run_samples(def.batch, samples, |_| {
-        black_box(machine.run(&kernel, &binding));
-    }))
+    machine_run(def, samples, &codelet, &binding)
+}
+
+/// A 3-point stencil `y[i] = x[i] + x[i+1] + x[i+2]` over `size`
+/// doubles: its three loads cross lines at different iterations, so
+/// replays are shorter than the triad's.
+fn machine_run_stencil(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let codelet = CodeletBuilder::new("stencil3", "bench")
+        .array("x", Precision::F64)
+        .array("y", Precision::F64)
+        .param_loop("n")
+        .store("y", &[1], |bd| {
+            bd.load("x", &[1]) + bd.load_off("x", &[1], 1) + bd.load_off("x", &[1], 2)
+        })
+        .build();
+    let n = def.size as u64;
+    let binding = BindingBuilder::new(0)
+        .vector(n + 2, 8)
+        .vector(n, 8)
+        .param(n)
+        .build_for(&codelet);
+    machine_run(def, samples, &codelet, &binding)
+}
+
+/// A gather `y[i] = x[random]` over `size` doubles: its random load
+/// turns the same-line replay off, so every iteration is walked.
+fn machine_run_gather(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+    let n = def.size as u64;
+    let codelet = CodeletBuilder::new("gather", "bench")
+        .array("x", Precision::F64)
+        .array("y", Precision::F64)
+        .param_loop("n")
+        .store("y", &[1], |bd| bd.load_random("x", n))
+        .build();
+    let binding = BindingBuilder::new(0)
+        .vector(n, 8)
+        .vector(n, 8)
+        .param(n)
+        .build_for(&codelet);
+    machine_run(def, samples, &codelet, &binding)
 }
 
 /// One simulated cache access, per access and arch: a fixed seeded

@@ -1,6 +1,8 @@
 //! Set-associative LRU cache hierarchy simulator.
 //!
-//! Every load and store of every simulated iteration walks this structure.
+//! Every load and store of every simulated iteration walks this structure,
+//! or is credited as the L1 hit the walk would find (the executor's
+//! same-line replay).
 //! The model is deliberately simple — physical addressing, 64-byte lines,
 //! LRU replacement, write-allocate, no writeback traffic accounting — but
 //! it captures the first-order effect the paper's clustering must see:
@@ -18,6 +20,7 @@ pub struct AccessOutcome {
 }
 
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Level {
     /// `n_sets` runs of `assoc` tags, one run per set, most recently
     /// used first. A tag is its line address plus one, so a zeroed way is
@@ -72,6 +75,7 @@ impl Level {
 
 /// A multi-level cache simulator configured from an [`Arch`].
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct CacheSim {
     levels: Vec<Level>,
 }
@@ -118,6 +122,18 @@ impl CacheSim {
             }
         }
         self.levels.len()
+    }
+
+    /// L1's associativity.
+    pub(crate) fn l1_ways(&self) -> usize {
+        self.levels[0].assoc
+    }
+
+    /// Count `n` L1 hits without touching any line: for accesses the
+    /// caller knows hit lines already at the front of their sets, so the
+    /// walk would leave every set as it is.
+    pub(crate) fn credit_l1_hits(&mut self, n: u64) {
+        self.levels[0].hits += n;
     }
 
     /// Hits and misses per level, L1 first.

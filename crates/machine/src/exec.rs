@@ -75,6 +75,18 @@ impl Machine {
 
     /// Execute one invocation of `kernel` under `binding`.
     pub fn run(&mut self, kernel: &CompiledKernel, binding: &Binding) -> Measurement {
+        self.run_with(kernel, binding, true).0
+    }
+
+    /// [`Machine::run`], with the same-line replay on or off (off walks
+    /// every iteration: the oracle the replay must match bit for bit).
+    /// Also returns how many innermost iterations were replayed.
+    fn run_with(
+        &mut self,
+        kernel: &CompiledKernel,
+        binding: &Binding,
+        replay: bool,
+    ) -> (Measurement, u64) {
         let comp = comp_bounds(kernel, &self.arch).cycles();
         let accesses = self.resolve(kernel, binding);
         let (pen_stream, pen_rand) = self.penalties();
@@ -110,6 +122,29 @@ impl Machine {
             .iter()
             .map(|a| (0, *a.dim_strides.last().unwrap_or(&0)))
             .collect();
+        // Same-line replay. After a walked iteration every line it touched
+        // is still in L1: no set saw more than `ways - 1` other lines
+        // after it. Each set holds that iteration's lines first, most
+        // recent first, then the rest. An iteration whose every access
+        // lands on the line the same access just touched therefore hits
+        // L1 throughout and leaves every set in the same order, so it is
+        // counted, not walked. Random accesses land anywhere, and more
+        // accesses than ways could evict each other.
+        let replay =
+            replay && hot.iter().all(|a| a.random.is_none()) && hot.len() <= self.cache.l1_ways();
+        // A hot access's penalty when level `lvl` satisfied it, and what an
+        // iteration adds to `cycles` for its summed penalties.
+        let penalty = |a: &ResolvedAccess, lvl: usize| {
+            if a.streaming {
+                pen_stream[lvl]
+            } else {
+                pen_rand[lvl]
+            }
+        };
+        let step = |pen: f64| if in_order { comp + pen } else { comp.max(pen) };
+        // What a walked iteration adds when every access hits L1.
+        let hit_step = step(hot.iter().fold(0.0, |pen, a| pen + penalty(a, 0)));
+        let mut replayed = 0u64;
         loop {
             // Resolve the innermost trip for the current outer indices.
             let inner_trip = match trips[dims - 1] {
@@ -134,7 +169,8 @@ impl Machine {
                 *addr = addr_at(a, &idx, 0);
             }
 
-            for _ in 0..inner_trip {
+            let mut i = 0;
+            while i < inner_trip {
                 let mut pen = 0.0f64;
                 for (j, a) in hot.iter().enumerate() {
                     let addr = if let Some(span) = a.random {
@@ -149,18 +185,29 @@ impl Machine {
                         *addr = addr.wrapping_add(*stride as u64);
                         here
                     };
-                    let lvl = self.cache.access(addr, a.size).level;
-                    pen += if a.streaming {
-                        pen_stream[lvl]
-                    } else {
-                        pen_rand[lvl]
-                    };
+                    pen += penalty(a, self.cache.access(addr, a.size).level);
                 }
-                cycles += if in_order {
-                    comp + pen
-                } else {
-                    comp.max(pen)
-                };
+                cycles += step(pen);
+                i += 1;
+                if !replay {
+                    continue;
+                }
+                let run = cur
+                    .iter()
+                    .zip(&hot)
+                    .fold(inner_trip - i, |run, (&(next, stride), a)| {
+                        run.min(same_line_run(next, stride, a.size))
+                    });
+                // One add per iteration: a multiply would round differently.
+                for _ in 0..run {
+                    cycles += hit_step;
+                }
+                for (addr, stride) in &mut cur {
+                    *addr = addr.wrapping_add((*stride as u64).wrapping_mul(run));
+                }
+                self.cache.credit_l1_hits(run * hot.len() as u64);
+                replayed += run;
+                i += run;
             }
             iterations += inner_trip;
 
@@ -236,11 +283,12 @@ impl Machine {
         c.bytes_from_mem = c.cache_misses[levels - 1] as f64 * LINE as f64;
 
         self.lifetime.add(&c);
-        Measurement {
+        let meas = Measurement {
             cycles,
             seconds: self.arch.seconds(cycles),
             counters: c,
-        }
+        };
+        (meas, replayed)
     }
 
     /// Resolve the kernel's symbolic accesses against a binding.
@@ -327,6 +375,23 @@ fn addr_at(a: &ResolvedAccess, outer_idx: &[u64], inner: u64) -> u64 {
     addr
 }
 
+/// How many more iterations an access of `size` bytes and inner `stride`,
+/// whose next address is `next`, stays wholly on the line its previous
+/// touch (one stride back) lay on: 0 if that touch straddled two lines.
+/// A size of 0 counts as 1 byte, as in [`CacheSim::access`].
+fn same_line_run(next: u64, stride: i64, size: u64) -> u64 {
+    let off = next.wrapping_sub(stride as u64) % LINE;
+    let size = size.max(1);
+    if size > LINE - off {
+        return 0;
+    }
+    match stride {
+        0 => u64::MAX,
+        s if s > 0 => (LINE - size - off) / s as u64,
+        s => off / s.unsigned_abs(),
+    }
+}
+
 fn add_flops(c: &mut HwCounters, prec: Precision, lanes: u8, elems: f64) {
     match (prec, lanes > 1) {
         (Precision::F32, false) => c.flops_sp_scalar += elems,
@@ -340,7 +405,12 @@ fn add_flops(c: &mut HwCounters, prec: Precision, lanes: u8, elems: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fgbs_isa::{compile, BinOp, BindingBuilder, Codelet, CodeletBuilder, CompileMode};
+    use crate::arch::PARK_SCALE;
+    use fgbs_isa::{
+        compile, AffineExpr, ArrayBinding, ArrayId, BinOp, BindingBuilder, Codelet, CodeletBuilder,
+        CompileMode, CompiledAccess,
+    };
+    use proptest::prelude::*;
 
     fn copy_codelet() -> Codelet {
         CodeletBuilder::new("copy", "t")
@@ -583,6 +653,195 @@ mod tests {
         let (b, _) = run_on(Arch::sandy_bridge(), &c, 10_000);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.counters, b.counters);
+    }
+
+    #[test]
+    fn unit_stride_copy_replays_seven_of_every_eight_iterations() {
+        let c = copy_codelet();
+        let arch = Arch::nehalem();
+        let k = compile(&c, &arch.target(), CompileMode::InApp);
+        let n = 4096u64;
+        let b = BindingBuilder::new(0)
+            .vector(n, 8)
+            .vector(n, 8)
+            .param(n)
+            .build_for(&c);
+        let (meas, replayed) = Machine::new(arch).run_with(&k, &b, true);
+        assert_eq!(meas.counters.iterations, n as f64);
+        assert_eq!(replayed, n / 8 * 7);
+    }
+
+    /// Seeded draws, from the LCG the cache proptest draws its streams
+    /// with.
+    struct Draw(u64);
+
+    impl Draw {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 11) % n
+        }
+
+        fn signed(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + self.below((hi - lo + 1) as u64) as i64
+        }
+
+        fn elem_bytes(&mut self) -> u64 {
+            [1, 2, 4, 8, 16][self.below(5) as usize]
+        }
+
+        /// An affine index over `ndims` loops, with its element size.
+        fn affine(&mut self, ndims: usize) -> (AccessIndex, u64) {
+            let mut strides: Vec<AffineExpr> = (0..ndims)
+                .map(|_| AffineExpr::new(self.signed(-2, 2), self.signed(0, 1)))
+                .collect();
+            strides[ndims - 1] = if self.below(8) == 0 {
+                AffineExpr::lda(1)
+            } else {
+                AffineExpr::lit(self.signed(-9, 9))
+            };
+            let offset = AffineExpr::new(self.signed(-4, 11), self.signed(0, 1));
+            (AccessIndex::Affine { strides, offset }, self.elem_bytes())
+        }
+    }
+
+    /// A loop nest, access list and binding to run in place of a compiled
+    /// copy's.
+    struct Variant {
+        dims: Vec<Trip>,
+        accesses: Vec<CompiledAccess>,
+        binding: Binding,
+    }
+
+    /// A seeded kernel shape: fixed, param and triangular trips; strides
+    /// of -9..=9 elements of 1-16 bytes (sometimes LDA) with offsets; up
+    /// to the widest L1's ways + 6 hot accesses, sometimes one random and
+    /// a couple invariant; arrays 64 KiB apart, so their first lines share
+    /// an L1 set on every machine, sometimes shifted off their line
+    /// (straddles) or placed at the top of the address space (wrap).
+    fn variant(seed: u64) -> Variant {
+        const MAX_L1_WAYS: u64 = 8;
+        let mut g = Draw(seed);
+        let ndims = 1 + g.below(3) as usize;
+        let mut params = Vec::new();
+        let mut dims: Vec<Trip> = (0..ndims)
+            .map(|d| {
+                let inner = d + 1 == ndims;
+                match g.below(3) {
+                    0 if d > 0 => Trip::Triangular,
+                    1 => {
+                        params.push(g.below(if inner { 160 } else { 5 }));
+                        Trip::Param(params.len() - 1)
+                    }
+                    _ => Trip::Fixed(1 + g.below(if inner { 100 } else { 5 })),
+                }
+            })
+            .collect();
+        // A triangular trip is its parent's index + 1: give it room.
+        for d in 1..ndims {
+            if dims[d] == Trip::Triangular {
+                if let Trip::Fixed(_) = dims[d - 1] {
+                    dims[d - 1] = Trip::Fixed(8 + g.below(24));
+                }
+            }
+        }
+
+        // Conflict kernels give every hot access one index recipe over its
+        // own array, so up to ways + 6 lines of one L1 set are touched per
+        // iteration and all of them could be replayed.
+        let conflict = g.below(2) == 0;
+        let n_arrays = if conflict { 16 } else { 1 + g.below(16) };
+        let region = if g.below(8) == 0 {
+            u64::MAX - g.below(1 << 17)
+        } else {
+            g.below(1 << 30) << 6
+        };
+        let lda = g.signed(1, 80);
+        let arrays = (0..n_arrays)
+            .map(|j| {
+                let shift = if g.below(3) == 0 { g.below(64) } else { 0 };
+                ArrayBinding {
+                    base: region.wrapping_add(j << 16).wrapping_add(shift),
+                    lda,
+                    len: 1 << 12,
+                }
+            })
+            .collect();
+
+        let hot = g.below(MAX_L1_WAYS + 7) as usize;
+        let random_at = if g.below(6) == 0 {
+            g.below(hot.max(1) as u64) as usize
+        } else {
+            usize::MAX
+        };
+        let template = g.affine(ndims);
+        let accesses = (0..hot + g.below(3) as usize)
+            .map(|j| {
+                let (index, elem_bytes) = if j == random_at {
+                    let span = 1 + g.below(1 << 12);
+                    (AccessIndex::Random { span }, g.elem_bytes())
+                } else if conflict && j < hot {
+                    template.clone()
+                } else {
+                    g.affine(ndims)
+                };
+                let array = if conflict {
+                    j as u64
+                } else {
+                    g.below(n_arrays)
+                };
+                CompiledAccess {
+                    array: ArrayId(array as usize),
+                    index,
+                    is_store: g.below(2) == 0,
+                    elem_bytes,
+                    invariant: j >= hot,
+                }
+            })
+            .collect();
+        let binding = Binding {
+            arrays,
+            params,
+            seed: g.below(u64::MAX),
+        };
+        Variant {
+            dims,
+            accesses,
+            binding,
+        }
+    }
+
+    proptest! {
+        /// Replaying same-line iterations changes no bit: every Table 1
+        /// machine, full-size and scaled, runs three invocations with the
+        /// replay and three walking every iteration, and must end with the
+        /// same cycles, counters, cache statistics and LRU state.
+        #[test]
+        fn replay_matches_the_full_walk(seed in any::<u64>()) {
+            let v = variant(seed);
+            for full in Arch::table1() {
+                for arch in [full.clone().scaled(PARK_SCALE), full] {
+                    let name = format!("{} ({} KiB L1)", arch.name, arch.caches[0].size >> 10);
+                    let mut k = compile(&copy_codelet(), &arch.target(), CompileMode::InApp);
+                    k.ndims = v.dims.len();
+                    k.dims = v.dims.clone();
+                    k.accesses = v.accesses.clone();
+                    let mut on = Machine::new(arch.clone());
+                    let mut off = Machine::new(arch);
+                    for inv in 0..3 {
+                        let (a, _) = on.run_with(&k, &v.binding, true);
+                        let (b, _) = off.run_with(&k, &v.binding, false);
+                        prop_assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{} invocation {}", name, inv);
+                        prop_assert_eq!(&a.counters, &b.counters, "{} invocation {}", name, inv);
+                        prop_assert_eq!(on.cache.stats(), off.cache.stats(), "{} invocation {}", name, inv);
+                    }
+                    prop_assert_eq!(on.lifetime_counters(), off.lifetime_counters(), "{}", name);
+                    prop_assert!(on.cache == off.cache, "{}: LRU state differs", name);
+                }
+            }
+        }
     }
 }
 

@@ -9,10 +9,12 @@
 //!
 //! A [`Machine`] executes [`fgbs_isa::CompiledKernel`]s invocation by
 //! invocation: every memory access of every innermost iteration is played
-//! through a set-associative LRU cache simulator, while a port/latency
-//! model charges compute cycles. Cache state persists across invocations —
-//! so running a whole application's invocation schedule on one machine
-//! reproduces in-application cache behaviour, and running an extracted
+//! through a set-associative LRU cache simulator (iterations that stay on
+//! the lines just touched are credited as the L1 hits the walk would
+//! find), while a port/latency model charges compute cycles. Cache state
+//! persists across invocations — so running a whole application's
+//! invocation schedule on one machine reproduces in-application cache
+//! behaviour, and running an extracted
 //! microbenchmark on a fresh machine reproduces the standalone behaviour
 //! (including the paper's CG-on-Atom anomaly, where the standalone codelet
 //! is faster because the application's cache pressure is not preserved).
