@@ -60,7 +60,7 @@ pub use config::{KChoice, PipelineConfig};
 pub use error::PipelineError;
 pub use featsel::{select_features_ga, FeatureSelection};
 pub use micras::MicroCache;
-pub use parallel::{evaluate_targets, evaluate_targets_with, rank_targets, TargetEvaluation};
+pub use parallel::{evaluate_targets, rank_targets, TargetEvaluation};
 pub use perapp::{per_app_subsetting, PerAppPoint};
 pub use persist::{
     apps_fingerprint, decode_fitness_snapshot, decode_prediction, decode_profiled_suite,

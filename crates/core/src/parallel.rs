@@ -12,7 +12,6 @@
 
 use fgbs_extract::AppRun;
 use fgbs_machine::Arch;
-use fgbs_pool::WorkPool;
 
 use crate::appagg::{aggregate_apps, geometric_mean_speedup, AppPrediction};
 use crate::config::PipelineConfig;
@@ -48,18 +47,7 @@ pub fn evaluate_targets(
     cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> Vec<TargetEvaluation> {
-    evaluate_targets_with(suite, reduced, targets, cache, cfg, &cfg.pool())
-}
-
-/// [`evaluate_targets`] on an explicit pool (shared with other stages).
-pub fn evaluate_targets_with(
-    suite: &ProfiledSuite,
-    reduced: &ReducedSuite,
-    targets: &[Arch],
-    cache: &MicroCache,
-    cfg: &PipelineConfig,
-    pool: &WorkPool,
-) -> Vec<TargetEvaluation> {
+    let pool = cfg.pool();
     let n_apps = suite.apps.len();
     let mut runs = pool
         .map_indexed(targets.len() * n_apps, |k| {

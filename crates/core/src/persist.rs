@@ -39,7 +39,7 @@ use fgbs_clustering::{Dendrogram, Merge};
 use fgbs_extract::{AppRun, Application, CodeletProfile, Microbenchmark};
 use fgbs_genetic::{BitGenome, GaConfig};
 use fgbs_machine::{Arch, HwCounters};
-use fgbs_store::{ByteReader, ByteWriter, CodecError, StableHasher};
+use fgbs_store::{ArtifactKind, ByteReader, ByteWriter, CodecError, StableHasher};
 
 use crate::config::PipelineConfig;
 use crate::predict::{CodeletPrediction, PredictionOutcome};
@@ -171,6 +171,37 @@ pub fn fitness_key(
         .field_u64(cfg.micro_min_invocations)
         .field_u64(cfg.noise_seed);
     h.finish_hex()
+}
+
+// ---------------------------------------------------------------------------
+// Store lookup
+// ---------------------------------------------------------------------------
+
+/// One stage's store lookup. Without a store, `compute`. With one, derive
+/// the key, return the decoded artifact stored under it, or else
+/// `compute`, encode and put the result. The store is a cache: its I/O
+/// errors and undecodable artifacts fall back to computing and are
+/// otherwise ignored.
+pub(crate) fn cached<T>(
+    cfg: &PipelineConfig,
+    kind: ArtifactKind,
+    key: impl FnOnce() -> String,
+    decode: impl FnOnce(&[u8]) -> Result<T, CodecError>,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+    compute: impl FnOnce() -> T,
+) -> T {
+    let Some(store) = &cfg.store else {
+        return compute();
+    };
+    let key = key();
+    if let Ok(Some(bytes)) = store.get(kind, &key) {
+        if let Ok(value) = decode(&bytes) {
+            return value;
+        }
+    }
+    let value = compute();
+    let _ = store.put(kind, &key, &encode(&value));
+    value
 }
 
 // ---------------------------------------------------------------------------

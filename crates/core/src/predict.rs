@@ -205,22 +205,14 @@ pub fn predict(
     target: &Arch,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
-    let Some(store) = &cfg.store else {
-        return compute_predict(suite, reduced, target, cfg);
-    };
-    let key = crate::persist::predict_key(suite, reduced, target, cfg);
-    if let Ok(Some(bytes)) = store.get(fgbs_store::ArtifactKind::Predict, &key) {
-        if let Ok(out) = crate::persist::decode_prediction(&bytes) {
-            return out;
-        }
-    }
-    let out = compute_predict(suite, reduced, target, cfg);
-    let _ = store.put(
+    crate::persist::cached(
+        cfg,
         fgbs_store::ArtifactKind::Predict,
-        &key,
-        &crate::persist::encode_prediction(&out),
-    );
-    out
+        || crate::persist::predict_key(suite, reduced, target, cfg),
+        crate::persist::decode_prediction,
+        crate::persist::encode_prediction,
+        || compute_predict(suite, reduced, target, cfg),
+    )
 }
 
 /// Deadline- and input-validating [`predict`]: checks the request

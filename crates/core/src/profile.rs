@@ -68,22 +68,14 @@ impl ProfiledSuite {
 /// deterministic, so the stored artifact is bitwise-identical to a fresh
 /// run. Store I/O failures fall back to computing.
 pub fn profile_reference(apps: &[Application], cfg: &PipelineConfig) -> ProfiledSuite {
-    let Some(store) = &cfg.store else {
-        return compute_profile(apps, cfg);
-    };
-    let key = crate::persist::profile_key(apps, cfg);
-    if let Ok(Some(bytes)) = store.get(fgbs_store::ArtifactKind::Profile, &key) {
-        if let Ok(suite) = crate::persist::decode_profiled_suite(&bytes, apps) {
-            return suite;
-        }
-    }
-    let suite = compute_profile(apps, cfg);
-    let _ = store.put(
+    crate::persist::cached(
+        cfg,
         fgbs_store::ArtifactKind::Profile,
-        &key,
-        &crate::persist::encode_profiled_suite(&suite),
-    );
-    suite
+        || crate::persist::profile_key(apps, cfg),
+        |bytes| crate::persist::decode_profiled_suite(bytes, apps),
+        crate::persist::encode_profiled_suite,
+        || compute_profile(apps, cfg),
+    )
 }
 
 /// The uncached Steps A + B.

@@ -152,22 +152,14 @@ pub fn reduce_cached(
     cache: &MicroCache,
 ) -> ReducedSuite {
     assert!(!cfg.features.is_empty(), "feature mask selects no features");
-    let Some(store) = &cfg.store else {
-        return compute_reduce(suite, cfg, cache);
-    };
-    let key = crate::persist::reduce_key(suite, cfg);
-    if let Ok(Some(bytes)) = store.get(fgbs_store::ArtifactKind::Reduce, &key) {
-        if let Ok(reduced) = crate::persist::decode_reduced_suite(&bytes) {
-            return reduced;
-        }
-    }
-    let reduced = compute_reduce(suite, cfg, cache);
-    let _ = store.put(
+    crate::persist::cached(
+        cfg,
         fgbs_store::ArtifactKind::Reduce,
-        &key,
-        &crate::persist::encode_reduced_suite(&reduced),
-    );
-    reduced
+        || crate::persist::reduce_key(suite, cfg),
+        crate::persist::decode_reduced_suite,
+        crate::persist::encode_reduced_suite,
+        || compute_reduce(suite, cfg, cache),
+    )
 }
 
 /// Deadline-aware [`reduce_cached`]: checks the request budget at the

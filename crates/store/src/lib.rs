@@ -13,16 +13,16 @@
 //!
 //! ```text
 //! <root>/
-//!   MANIFEST                     # integrity-checked index of every artifact
 //!   objects/<kind>/<key>.bin     # self-describing artifact files
 //! ```
 //!
-//! Every object file carries a magic number, format version, its own kind
-//! and key, and an FNV-1a checksum of the payload, so a corrupted or
-//! truncated artifact is *detected* on read (and reported as an error)
-//! rather than silently decoded. Writes go to a `.tmp` sibling first and
-//! are published with an atomic rename: a crash mid-write leaves the
-//! previous artifact (and the manifest) intact.
+//! The object files are the store's only index: a listing is a scan of
+//! `objects/`. Every object file carries a magic number, format version,
+//! its own kind and key, and an FNV-1a checksum of the payload, so a
+//! corrupted or truncated artifact is *detected* on read (and reported as
+//! an error) rather than silently decoded. Writes go to a temp file
+//! private to the writer and are published with an atomic rename: a
+//! crash mid-write leaves the previous artifact intact.
 //!
 //! # Keys
 //!
@@ -43,23 +43,22 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use flight::SingleFlight;
 pub use hash::{fnv64, hash_fields, StableHasher};
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{SystemTime, UNIX_EPOCH};
-
-use parking_lot::Mutex;
+use std::time::UNIX_EPOCH;
 
 /// Artifact file magic bytes.
 const MAGIC: &[u8; 4] = b"FGBS";
 /// On-disk format version; bumping it orphans (but never corrupts) old
 /// artifacts.
 pub const FORMAT_VERSION: u32 = 1;
-/// First line of a valid manifest.
-const MANIFEST_HEADER: &str = "fgbs-store-manifest v1";
+
+/// Sequence number that makes each `put`'s temp file name unique within
+/// the process (the pid makes it unique across processes).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The pipeline stage an artifact belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -93,7 +92,7 @@ impl ArtifactKind {
         ArtifactKind::Diagnostic,
     ];
 
-    /// Directory / manifest name of the kind.
+    /// Directory name of the kind (also written into each object frame).
     pub fn as_str(self) -> &'static str {
         match self {
             ArtifactKind::Profile => "profile",
@@ -118,7 +117,7 @@ impl fmt::Display for ArtifactKind {
     }
 }
 
-/// One manifest entry describing a stored artifact.
+/// One stored artifact, as described by its object file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactMeta {
     /// Stage the artifact belongs to.
@@ -127,9 +126,8 @@ pub struct ArtifactMeta {
     pub key: String,
     /// Payload size in bytes.
     pub bytes: u64,
-    /// FNV-1a checksum of the payload.
-    pub checksum: u64,
-    /// Unix seconds when the artifact was stored (eviction order).
+    /// Unix seconds when the object file was last written (its mtime;
+    /// eviction order).
     pub stored_at: u64,
 }
 
@@ -162,14 +160,11 @@ pub struct GcReport {
 /// The content-addressed artifact store.
 ///
 /// Thread safe: `put`/`get`/`gc` all take `&self`; share it behind an
-/// `Arc`. The manifest assumes a single writing process (the CLI or the
-/// serve daemon); concurrent writers in *different* processes keep the
-/// object files correct (atomic renames) but may interleave manifest
-/// rewrites — [`Store::rebuild_manifest`] restores the index from the
-/// objects on disk.
+/// `Arc`. Every writer, in this process or another, publishes through a
+/// temp file of its own and an atomic rename, so concurrent puts of one
+/// key never see each other's partial writes.
 pub struct Store {
     root: PathBuf,
-    manifest: Mutex<HashMap<(ArtifactKind, String), ArtifactMeta>>,
     retry: fgbs_fault::RetryPolicy,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -183,25 +178,19 @@ impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Store")
             .field("root", &self.root)
-            .field("artifacts", &self.manifest.lock().len())
             .field("counters", &self.counters())
             .finish()
     }
 }
 
 impl Store {
-    /// Open (creating if necessary) a store rooted at `root`.
-    ///
-    /// Fails with `InvalidData` when an existing manifest is corrupt —
-    /// wrong header, malformed entry, or checksum mismatch — so silent
-    /// index corruption cannot masquerade as an empty store. Use
-    /// [`Store::rebuild_manifest`] to recover from the objects on disk.
+    /// Open (creating if necessary) a store rooted at `root`. Opening
+    /// reads and writes nothing but the `objects/` directory's creation.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
         fs::create_dir_all(root.join("objects"))?;
-        let store = Store {
+        Ok(Store {
             root,
-            manifest: Mutex::new(HashMap::new()),
             retry: fgbs_fault::RetryPolicy::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -209,51 +198,7 @@ impl Store {
             evictions: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             quarantines: AtomicU64::new(0),
-        };
-        let path = store.manifest_path();
-        if path.exists() {
-            let mut raw = store.with_retry("store.manifest.read", || {
-                fgbs_fault::maybe_io("store.manifest.read")?;
-                fs::read(&path)
-            })?;
-            fgbs_fault::corrupt("store.manifest.bytes", &mut raw);
-            let text = String::from_utf8_lossy(&raw);
-            let entries = parse_manifest(&text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            *store.manifest.lock() =
-                entries.into_iter().map(|m| ((m.kind, m.key.clone()), m)).collect();
-        } else {
-            store.write_manifest(&store.manifest.lock())?;
-        }
-        Ok(store)
-    }
-
-    /// [`Store::open`], plus self-healing of a corrupt index: when the
-    /// MANIFEST fails its integrity checks, it is quarantined (moved to
-    /// `quarantine/`) and the index is rebuilt from the object files on
-    /// disk — the durable analogue of Step D's ill-behaved-codelet retry.
-    /// Other I/O errors (permissions, unreadable root, …) still fail.
-    pub fn open_healing(root: impl Into<PathBuf>) -> io::Result<Store> {
-        let root = root.into();
-        match Store::open(&root) {
-            Ok(store) => Ok(store),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let qdir = root.join("quarantine");
-                fs::create_dir_all(&qdir)?;
-                fs::rename(root.join("MANIFEST"), qdir.join("MANIFEST.corrupt"))?;
-                let store = Store::open(&root)?;
-                store.rebuild_manifest()?;
-                store.quarantines.fetch_add(1, Ordering::Relaxed);
-                fgbs_trace::counter("store.quarantines", 1);
-                fgbs_trace::stat("store.quarantine.manifest", 1);
-                fgbs_trace::flightrec::trigger(
-                    "quarantine.manifest",
-                    fgbs_trace::current_request_id(),
-                );
-                Ok(store)
-            }
-            Err(e) => Err(e),
-        }
+        })
     }
 
     /// Run `op`, retrying transient failures per the store's
@@ -282,41 +227,34 @@ impl Store {
         &self.root
     }
 
-    fn manifest_path(&self) -> PathBuf {
-        self.root.join("MANIFEST")
+    fn kind_dir(&self, kind: ArtifactKind) -> PathBuf {
+        self.root.join("objects").join(kind.as_str())
     }
 
     fn object_path(&self, kind: ArtifactKind, key: &str) -> PathBuf {
-        self.root.join("objects").join(kind.as_str()).join(format!("{key}.bin"))
+        self.kind_dir(kind).join(format!("{key}.bin"))
     }
 
     /// Store `payload` under `(kind, key)`, replacing any previous
-    /// version atomically (write `.tmp`, fsync, rename, fsync the
+    /// version atomically (write a temp file, fsync, rename, fsync the
     /// directory so the rename itself is durable).
     ///
-    /// The write is verified by reading the `.tmp` frame back before
-    /// publishing; a short or mangled write is retried like any other
-    /// transient I/O failure instead of publishing a corrupt artifact.
+    /// The temp file is named for this call alone
+    /// (`<key>.<pid>-<seq>.tmp`), so concurrent puts of one key never
+    /// truncate or rename away each other's frame. The write is verified
+    /// by reading the temp frame back before publishing; a short or
+    /// mangled write is retried like any other transient I/O failure
+    /// instead of publishing a corrupt artifact.
     pub fn put(&self, kind: ArtifactKind, key: &str, payload: &[u8]) -> io::Result<()> {
         let publish_started = std::time::Instant::now();
-        let path = self.object_path(kind, key);
-        let parent = path
-            .parent()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "object path has no parent"))?
-            .to_path_buf();
+        let parent = self.kind_dir(kind);
         fs::create_dir_all(&parent)?;
+        let path = parent.join(format!("{key}.bin"));
+        let framed = frame(kind, key, payload);
 
-        let mut w = ByteWriter::new();
-        w.put_u32(u32::from_le_bytes(*MAGIC));
-        w.put_u32(FORMAT_VERSION);
-        w.put_str(kind.as_str());
-        w.put_str(key);
-        w.put_u64(fnv64(payload));
-        w.put_bytes(payload);
-        let framed = w.into_bytes();
-
-        let tmp = path.with_extension("tmp");
-        self.with_retry("store.write", || {
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = parent.join(format!("{key}.{}-{seq}.tmp", std::process::id()));
+        let published = self.with_retry("store.write", || {
             fgbs_fault::maybe_io("store.write")?;
             let keep = fgbs_fault::short_len("store.write.short", framed.len());
             {
@@ -336,18 +274,14 @@ impl Store {
             }
             fs::rename(&tmp, &path)?;
             sync_dir(&parent)
-        })?;
+        });
+        if let Err(e) = published {
+            // No later put reuses this name, so a failed one cleans up
+            // after itself (after a rename there is nothing to remove).
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
 
-        let meta = ArtifactMeta {
-            kind,
-            key: key.to_string(),
-            bytes: payload.len() as u64,
-            checksum: fnv64(payload),
-            stored_at: unix_now(),
-        };
-        let mut m = self.manifest.lock();
-        m.insert((kind, key.to_string()), meta);
-        self.write_manifest(&m)?;
         self.puts.fetch_add(1, Ordering::Relaxed);
         fgbs_trace::counter("store.puts", 1);
         fgbs_trace::stat("store.put_us", publish_started.elapsed().as_micros() as u64);
@@ -358,10 +292,10 @@ impl Store {
     ///
     /// `Ok(None)` means "not stored": either a plain miss, or a stored
     /// artifact that failed its integrity checks — wrong magic, version,
-    /// identity, or checksum — and was *quarantined* (moved to
-    /// `quarantine/`, dropped from the index) so the caller recomputes
-    /// and republishes it. Transient read errors are retried with
-    /// backoff before surfacing.
+    /// identity, or checksum — and was *quarantined* (moved out of
+    /// `objects/` into `quarantine/`) so the caller recomputes and
+    /// republishes it. Transient read errors are retried with backoff
+    /// before surfacing.
     pub fn get(&self, kind: ArtifactKind, key: &str) -> io::Result<Option<Vec<u8>>> {
         let lookup_started = std::time::Instant::now();
         let path = self.object_path(kind, key);
@@ -401,8 +335,8 @@ impl Store {
         result
     }
 
-    /// Move a corrupt object out of `objects/` into `quarantine/` and
-    /// drop it from the index, so subsequent lookups miss cleanly.
+    /// Move a corrupt object out of `objects/` into `quarantine/`, so
+    /// subsequent lookups miss cleanly.
     fn quarantine_object(&self, kind: ArtifactKind, key: &str, path: &Path) -> io::Result<()> {
         let qdir = self.root.join("quarantine");
         fs::create_dir_all(&qdir)?;
@@ -412,10 +346,6 @@ impl Store {
             // A concurrent get may have quarantined it first.
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
-        }
-        let mut m = self.manifest.lock();
-        if m.remove(&(kind, key.to_string())).is_some() {
-            self.write_manifest(&m)?;
         }
         self.quarantines.fetch_add(1, Ordering::Relaxed);
         fgbs_trace::counter("store.quarantines", 1);
@@ -446,142 +376,96 @@ impl Store {
         Ok(qpath)
     }
 
-    /// True when `(kind, key)` is stored (no counter side effects).
-    pub fn contains(&self, kind: ArtifactKind, key: &str) -> bool {
-        self.object_path(kind, key).exists()
-    }
-
     /// Remove one artifact; true when something was deleted.
     pub fn remove(&self, kind: ArtifactKind, key: &str) -> io::Result<bool> {
-        let path = self.object_path(kind, key);
-        let existed = path.exists();
-        if existed {
-            fs::remove_file(&path)?;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            fgbs_trace::counter("store.evictions", 1);
+        match fs::remove_file(self.object_path(kind, key)) {
+            Ok(()) => {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                fgbs_trace::counter("store.evictions", 1);
+                Ok(true)
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(e),
         }
-        let mut m = self.manifest.lock();
-        if m.remove(&(kind, key.to_string())).is_some() || existed {
-            self.write_manifest(&m)?;
-        }
-        Ok(existed)
     }
 
     /// Every stored artifact, sorted by kind then key (stable listing).
+    ///
+    /// One scan of `objects/<kind>/` per kind: the key is the file name
+    /// without `.bin` (temp files and other strays are skipped),
+    /// `stored_at` the file's mtime, and `bytes` the file length minus
+    /// the frame. No object is read.
     pub fn list(&self) -> Vec<ArtifactMeta> {
-        let mut v: Vec<ArtifactMeta> = self.manifest.lock().values().cloned().collect();
-        v.sort_by(|a, b| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
-        v
+        let mut listed = Vec::new();
+        for kind in ArtifactKind::ALL {
+            let Ok(entries) = fs::read_dir(self.kind_dir(kind)) else { continue };
+            for entry in entries.flatten() {
+                let name = entry.file_name();
+                let Some(key) = name.to_str().and_then(|n| n.strip_suffix(".bin")) else {
+                    continue;
+                };
+                // Gone since the directory was read (gc, quarantine).
+                let Ok(meta) = entry.metadata() else { continue };
+                let stored_at = meta
+                    .modified()
+                    .ok()
+                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
+                    .map_or(0, |d| d.as_secs());
+                listed.push(ArtifactMeta {
+                    kind,
+                    key: key.to_string(),
+                    bytes: payload_len(meta.len(), kind, key),
+                    stored_at,
+                });
+            }
+        }
+        listed.sort_by(|a, b| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
+        listed
     }
 
     /// Evict the oldest artifacts, keeping at most `keep_per_kind` of
     /// each kind (newest first by `stored_at`, key as tie-break).
     pub fn gc(&self, keep_per_kind: usize) -> io::Result<GcReport> {
         let gc_started = std::time::Instant::now();
-        let victims: Vec<ArtifactMeta> = {
-            let m = self.manifest.lock();
-            let mut by_kind: HashMap<ArtifactKind, Vec<&ArtifactMeta>> = HashMap::new();
-            for meta in m.values() {
-                by_kind.entry(meta.kind).or_default().push(meta);
-            }
-            let mut victims = Vec::new();
-            for metas in by_kind.values_mut() {
-                metas.sort_by(|a, b| {
-                    b.stored_at.cmp(&a.stored_at).then_with(|| a.key.cmp(&b.key))
-                });
-                victims.extend(metas.iter().skip(keep_per_kind).map(|m| (*m).clone()));
-            }
-            victims
-        };
+        let mut artifacts = self.list();
+        artifacts.sort_by(|a, b| {
+            a.kind
+                .cmp(&b.kind)
+                .then_with(|| b.stored_at.cmp(&a.stored_at))
+                .then_with(|| a.key.cmp(&b.key))
+        });
         let mut report = GcReport::default();
-        for meta in victims {
-            if self.remove(meta.kind, &meta.key)? {
-                report.removed += 1;
-                report.bytes_freed += meta.bytes;
+        for same_kind in artifacts.chunk_by(|a, b| a.kind == b.kind) {
+            for meta in same_kind.iter().skip(keep_per_kind) {
+                if self.remove(meta.kind, &meta.key)? {
+                    report.removed += 1;
+                    report.bytes_freed += meta.bytes;
+                }
             }
         }
         fgbs_trace::stat("store.gc_us", gc_started.elapsed().as_micros() as u64);
         Ok(report)
     }
 
-    /// Check every manifest entry against its object file; returns a
-    /// description of each problem found (empty = healthy).
+    /// Unframe every object in the store; returns a description of each
+    /// one that fails its integrity checks (empty = healthy).
     pub fn verify(&self) -> Vec<String> {
         let mut issues = Vec::new();
-        let entries = self.list();
-        for meta in &entries {
-            let path = self.object_path(meta.kind, &meta.key);
-            let framed = match fs::read(&path) {
+        for meta in self.list() {
+            let framed = match fs::read(self.object_path(meta.kind, &meta.key)) {
                 Ok(b) => b,
+                // Removed since the listing: no longer stored, not corrupt.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
                 Err(e) => {
                     issues.push(format!("{}/{}: unreadable object: {e}", meta.kind, meta.key));
                     continue;
                 }
             };
-            match unframe(&framed, meta.kind, &meta.key) {
-                Ok(payload) => {
-                    if fnv64(&payload) != meta.checksum || payload.len() as u64 != meta.bytes {
-                        issues.push(format!(
-                            "{}/{}: object does not match its manifest entry",
-                            meta.kind, meta.key
-                        ));
-                    }
-                }
-                Err(msg) => issues.push(format!("{}/{}: {msg}", meta.kind, meta.key)),
-            }
-        }
-        // Orphans: objects on disk the manifest does not know about.
-        for kind in ArtifactKind::ALL {
-            let dir = self.root.join("objects").join(kind.as_str());
-            let Ok(rd) = fs::read_dir(&dir) else { continue };
-            for entry in rd.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(key) = name.strip_suffix(".bin") else { continue };
-                if !entries.iter().any(|m| m.kind == kind && m.key == key) {
-                    issues.push(format!("{kind}/{key}: orphan object (not in manifest)"));
-                }
+            if let Err(msg) = unframe(&framed, meta.kind, &meta.key) {
+                issues.push(format!("{}/{}: {msg}", meta.kind, meta.key));
             }
         }
         issues
-    }
-
-    /// Rebuild the manifest by scanning the object files on disk —
-    /// recovery path for a lost or corrupt index. Unreadable objects are
-    /// skipped (and stay on disk for inspection).
-    pub fn rebuild_manifest(&self) -> io::Result<usize> {
-        let mut rebuilt = HashMap::new();
-        for kind in ArtifactKind::ALL {
-            let dir = self.root.join("objects").join(kind.as_str());
-            let Ok(rd) = fs::read_dir(&dir) else { continue };
-            for entry in rd.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(key) = name.strip_suffix(".bin") else { continue };
-                let Ok(framed) = fs::read(entry.path()) else { continue };
-                let Ok(payload) = unframe(&framed, kind, key) else { continue };
-                let stored_at = entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                    .map(|d| d.as_secs())
-                    .unwrap_or(0);
-                rebuilt.insert(
-                    (kind, key.to_string()),
-                    ArtifactMeta {
-                        kind,
-                        key: key.to_string(),
-                        bytes: payload.len() as u64,
-                        checksum: fnv64(&payload),
-                        stored_at,
-                    },
-                );
-            }
-        }
-        let n = rebuilt.len();
-        let mut m = self.manifest.lock();
-        *m = rebuilt;
-        self.write_manifest(&m)?;
-        Ok(n)
     }
 
     /// Current counter snapshot.
@@ -595,37 +479,6 @@ impl Store {
             quarantines: self.quarantines.load(Ordering::Relaxed),
         }
     }
-
-    /// Serialise and atomically publish the manifest.
-    fn write_manifest(
-        &self,
-        entries: &HashMap<(ArtifactKind, String), ArtifactMeta>,
-    ) -> io::Result<()> {
-        let mut metas: Vec<&ArtifactMeta> = entries.values().collect();
-        metas.sort_by(|a, b| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
-        let mut body = String::from(MANIFEST_HEADER);
-        body.push('\n');
-        for m in metas {
-            body.push_str(&format!(
-                "{}\t{}\t{}\t{:016x}\t{}\n",
-                m.kind, m.key, m.bytes, m.checksum, m.stored_at
-            ));
-        }
-        body.push_str(&format!("checksum {:016x}\n", fnv64(body.as_bytes())));
-
-        let path = self.manifest_path();
-        let tmp = path.with_extension("tmp");
-        self.with_retry("store.manifest.write", || {
-            fgbs_fault::maybe_io("store.manifest.write")?;
-            {
-                let mut f = fs::File::create(&tmp)?;
-                f.write_all(body.as_bytes())?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, &path)?;
-            sync_dir(&self.root)
-        })
-    }
 }
 
 /// Fsync a directory so a just-renamed entry inside it survives a crash.
@@ -634,6 +487,27 @@ impl Store {
 fn sync_dir(dir: &Path) -> io::Result<()> {
     fgbs_fault::maybe_io("store.dir_sync")?;
     fs::File::open(dir)?.sync_all()
+}
+
+/// The object file frame: magic, format version, kind and key (each a
+/// `u64` length and its bytes), the payload's FNV-1a checksum, and the
+/// payload (a `u64` length and its bytes). All integers little endian.
+fn frame(kind: ArtifactKind, key: &str, payload: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u32(u32::from_le_bytes(*MAGIC));
+    w.put_u32(FORMAT_VERSION);
+    w.put_str(kind.as_str());
+    w.put_str(key);
+    w.put_u64(fnv64(payload));
+    w.put_bytes(payload);
+    w.into_bytes()
+}
+
+/// Payload length of a [`frame`]d object file `file_len` bytes long: the
+/// frame adds 40 fixed bytes (magic 4, version 4, checksum 8 and three
+/// `u64` lengths) plus the kind and key strings.
+fn payload_len(file_len: u64, kind: ArtifactKind, key: &str) -> u64 {
+    file_len.saturating_sub(40 + kind.as_str().len() as u64 + key.len() as u64)
 }
 
 /// Validate an object file frame and extract its payload.
@@ -661,59 +535,6 @@ fn unframe(framed: &[u8], kind: ArtifactKind, key: &str) -> Result<Vec<u8>, Stri
         return Err("payload checksum mismatch".into());
     }
     Ok(payload)
-}
-
-/// Parse and integrity-check a manifest file.
-fn parse_manifest(text: &str) -> Result<Vec<ArtifactMeta>, String> {
-    let mut lines = text.lines();
-    if lines.next() != Some(MANIFEST_HEADER) {
-        return Err("manifest: missing or unrecognised header".into());
-    }
-    let Some(body_end) = text.rfind("checksum ") else {
-        return Err("manifest: missing checksum line".into());
-    };
-    let (body, tail) = text.split_at(body_end);
-    let declared = tail
-        .trim_end()
-        .strip_prefix("checksum ")
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("manifest: malformed checksum line")?;
-    if fnv64(body.as_bytes()) != declared {
-        return Err("manifest: checksum mismatch (index is corrupt)".into());
-    }
-
-    let mut out = Vec::new();
-    for line in body.lines().skip(1) {
-        let parts: Vec<&str> = line.split('\t').collect();
-        if parts.len() != 5 {
-            return Err(format!("manifest: malformed entry `{line}`"));
-        }
-        let kind = ArtifactKind::parse(parts[0])
-            .ok_or_else(|| format!("manifest: unknown kind `{}`", parts[0]))?;
-        let bytes: u64 = parts[2]
-            .parse()
-            .map_err(|_| format!("manifest: bad size in `{line}`"))?;
-        let checksum = u64::from_str_radix(parts[3], 16)
-            .map_err(|_| format!("manifest: bad checksum in `{line}`"))?;
-        let stored_at: u64 = parts[4]
-            .parse()
-            .map_err(|_| format!("manifest: bad timestamp in `{line}`"))?;
-        out.push(ArtifactMeta {
-            kind,
-            key: parts[1].to_string(),
-            bytes,
-            checksum,
-            stored_at,
-        });
-    }
-    Ok(out)
-}
-
-fn unix_now() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -752,8 +573,8 @@ mod tests {
         );
         let c = s.counters();
         assert_eq!((c.hits, c.misses, c.puts), (1, 1, 1));
-        assert!(s.contains(ArtifactKind::Profile, "k1"));
-        assert!(!s.contains(ArtifactKind::Reduce, "k1"));
+        let listed: Vec<_> = s.list().into_iter().map(|m| (m.kind, m.key)).collect();
+        assert_eq!(listed, vec![(ArtifactKind::Profile, "k1".to_string())]);
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -769,6 +590,46 @@ mod tests {
         assert_eq!(s.get(ArtifactKind::Predict, "p").unwrap(), Some(vec![1, 2, 3]));
         assert_eq!(s.list().len(), 1);
         assert!(s.verify().is_empty());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn list_reports_exact_payload_lengths_and_skips_strays() {
+        let _g = fault_guard();
+        let root = tmp_root("list-bytes");
+        let s = Store::open(&root).unwrap();
+        let cases: [(ArtifactKind, &str, usize); 6] = [
+            (ArtifactKind::Profile, "p", 0),
+            (ArtifactKind::Reduce, "0123456789abcdef0123456789abcdef", 1),
+            (ArtifactKind::Predict, "k", 255),
+            (ArtifactKind::Response, "a-longer-key-with.dots.in-it", 4096),
+            (ArtifactKind::Diagnostic, "req7-quarantine.object-123", 70_001),
+            (ArtifactKind::Fitness, "f", 3),
+        ];
+        for &(kind, key, n) in &cases {
+            s.put(kind, key, &vec![0xA5; n]).unwrap();
+        }
+        // A crash mid-put leaves a temp file; other strays may sit there too.
+        fs::write(root.join("objects/predict/k.123-4.tmp"), b"torn").unwrap();
+        fs::write(root.join("objects/predict/notes.txt"), b"not an object").unwrap();
+
+        let mut expected: Vec<ArtifactMeta> = cases
+            .iter()
+            .map(|&(kind, key, n)| ArtifactMeta {
+                kind,
+                key: key.to_string(),
+                bytes: n as u64,
+                stored_at: 0,
+            })
+            .collect();
+        expected.sort_by(|a, b| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
+        let listed: Vec<ArtifactMeta> = s
+            .list()
+            .into_iter()
+            .map(|m| ArtifactMeta { stored_at: 0, ..m })
+            .collect();
+        assert_eq!(listed, expected);
+        assert!(s.verify().is_empty(), "strays are not objects");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -791,36 +652,13 @@ mod tests {
         assert_eq!(s.counters().quarantines, 1);
         assert!(root.join("quarantine/reduce-r.bin").exists());
         assert!(!path.exists());
-        assert!(s.verify().is_empty(), "index no longer names the victim");
+        assert!(s.verify().is_empty(), "the victim left objects/");
         // Republishing under the same key completes the heal.
         s.put(ArtifactKind::Reduce, "r", b"payload-bytes").unwrap();
         assert_eq!(
             s.get(ArtifactKind::Reduce, "r").unwrap(),
             Some(b"payload-bytes".to_vec())
         );
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn corrupted_manifest_fails_open_and_rebuilds() {
-        let _g = fault_guard();
-        let root = tmp_root("corrupt-manifest");
-        {
-            let s = Store::open(&root).unwrap();
-            s.put(ArtifactKind::Fitness, "f", b"snapshot").unwrap();
-        }
-        // Corrupt the index.
-        let mpath = root.join("MANIFEST");
-        let mut text = fs::read_to_string(&mpath).unwrap();
-        text = text.replace("fitness", "fitnesz");
-        fs::write(&mpath, &text).unwrap();
-        let err = Store::open(&root).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Recovery: drop the bad index and rebuild from objects.
-        fs::remove_file(&mpath).unwrap();
-        let s = Store::open(&root).unwrap();
-        assert_eq!(s.rebuild_manifest().unwrap(), 1);
-        assert_eq!(s.get(ArtifactKind::Fitness, "f").unwrap(), Some(b"snapshot".to_vec()));
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -872,13 +710,13 @@ mod tests {
         }
         s.put(ArtifactKind::Profile, "keepme", b"x").unwrap();
         // Make eviction order deterministic despite same-second stamps.
-        {
-            let mut m = s.manifest.lock();
-            for (_, meta) in m.iter_mut() {
-                if let Some(i) = meta.key.strip_prefix('k').and_then(|t| t.parse::<u64>().ok()) {
-                    meta.stored_at = 1000 + i;
-                }
-            }
+        for i in 0..5u64 {
+            fs::File::options()
+                .write(true)
+                .open(root.join(format!("objects/predict/k{i}.bin")))
+                .unwrap()
+                .set_modified(UNIX_EPOCH + std::time::Duration::from_secs(1000 + i))
+                .unwrap();
         }
         let report = s.gc(2).unwrap();
         assert_eq!(report.removed, 3);
@@ -929,29 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn healing_open_quarantines_a_corrupt_manifest() {
-        let _g = fault_guard();
-        let root = tmp_root("heal-manifest");
-        {
-            let s = Store::open(&root).unwrap();
-            s.put(ArtifactKind::Fitness, "f", b"snapshot").unwrap();
-        }
-        let mpath = root.join("MANIFEST");
-        let text = fs::read_to_string(&mpath).unwrap().replace("fitness", "fitnesz");
-        fs::write(&mpath, &text).unwrap();
-        // Strict open still refuses (index corruption must not
-        // masquerade as an empty store) …
-        assert_eq!(Store::open(&root).unwrap_err().kind(), io::ErrorKind::InvalidData);
-        // … while the healing open moves it aside and rebuilds.
-        let s = Store::open_healing(&root).unwrap();
-        assert_eq!(s.counters().quarantines, 1);
-        assert!(root.join("quarantine/MANIFEST.corrupt").exists());
-        assert_eq!(s.get(ArtifactKind::Fitness, "f").unwrap(), Some(b"snapshot".to_vec()));
-        assert!(s.verify().is_empty());
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
     fn transient_read_errors_are_retried() {
         let _g = fault_guard();
         let root = tmp_root("retry-read");
@@ -989,6 +804,21 @@ mod tests {
         assert_eq!(s.get(ArtifactKind::Reduce, "r").unwrap(), Some(b"full-payload".to_vec()));
         assert!(s.counters().retries >= 1);
         assert!(s.verify().is_empty());
+        // Every attempt short: the put fails and removes its temp file,
+        // since no later put would ever reuse its name.
+        fgbs_fault::install(fgbs_fault::FaultPlan::new(5).with_rule(
+            "store.write.short",
+            fgbs_fault::FaultAction::Short(6),
+            1.0,
+            u64::MAX,
+        ));
+        assert!(s.put(ArtifactKind::Reduce, "never", b"full-payload").is_err());
+        fgbs_fault::clear();
+        let names: Vec<_> = fs::read_dir(root.join("objects/reduce"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec!["r.bin"]);
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -27,7 +27,6 @@
 //!   --class test|a|b     dataset class (default a)
 //!   --k N | --k elbow    cluster count policy (default elbow)
 //!   --threads N          worker threads (0 = auto, 1 = serial; default auto)
-//!   --paper-features     cluster on the paper's Table 2 feature list
 //!   --results-dir DIR    experiment outputs and artifact store root (default results/)
 //!   --store              persist/reuse pipeline artifacts under the results dir
 //!   --trace FILE         record a Chrome trace of the run into FILE
@@ -36,7 +35,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use fgbs::analysis::{catalog, table2_features, FeatureMask};
+use fgbs::analysis::catalog;
 use fgbs::clustering::render_dendrogram;
 use fgbs::core::{
     evaluate_targets, predict, profile_reference, rank_targets, reduce, select_features_ga,
@@ -58,7 +57,6 @@ struct Cli {
     class: Class,
     k: KChoice,
     threads: usize,
-    paper_features: bool,
     target: Option<String>,
     codelet: Option<String>,
     results_dir: String,
@@ -131,7 +129,7 @@ impl SuiteKind {
 
 const USAGE: &str = "usage: fgbs <info|show|reduce|predict|select|features|serve|store|snippet|trace|flightrec|top|bench|help> \
 [--suite nr|nas|bigdata] [--class test|a|b] [--k N|elbow] [--threads N] \
-[--target atom|core2|sb] [--codelet NAME] [--paper-features] \
+[--target atom|core2|sb] [--codelet NAME] \
 [--results-dir DIR] [--store] [--addr HOST:PORT] [--keep N] \
 [--generations N] [--population N] [--seed N] [--trace FILE] \
 [--fault-spec SPEC] [--fault-seed N] [--quick] [--filter SUB] \
@@ -178,7 +176,6 @@ options:
   --threads N          worker threads; for serve: connection workers (0 = auto)
   --target NAME        atom | core2 | sb (predict; serve default target)
   --codelet NAME       substring filter for show
-  --paper-features     cluster on the paper's Table 2 feature list
   --results-dir DIR    experiment outputs and artifact store root (default results/)
   --store              persist/reuse pipeline artifacts in DIR/store
   --addr HOST:PORT     serve bind address (default 127.0.0.1:8422)
@@ -210,7 +207,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         class: Class::A,
         k: KChoice::Elbow { max_k: 24 },
         threads: 0, // the CLI defaults to all available cores
-        paper_features: false,
         target: None,
         codelet: None,
         results_dir: "results".to_string(),
@@ -382,7 +378,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                         .clone(),
                 )
             }
-            "--paper-features" => cli.paper_features = true,
             "--results-dir" => {
                 cli.results_dir = it
                     .next()
@@ -482,20 +477,15 @@ fn target_by_name(name: &str) -> Result<Arch, String> {
 }
 
 /// The artifact store under the results dir (`<results-dir>/store`).
-/// Opened in self-healing mode: a corrupt MANIFEST is quarantined and
-/// rebuilt from the surviving objects instead of refusing to start.
 fn open_store(cli: &Cli) -> Result<Arc<Store>, String> {
     let root = PathBuf::from(&cli.results_dir).join("store");
-    Store::open_healing(&root)
+    Store::open(&root)
         .map(Arc::new)
         .map_err(|e| format!("cannot open store at {}: {e}", root.display()))
 }
 
 fn build_config(cli: &Cli) -> Result<PipelineConfig, String> {
     let mut cfg = PipelineConfig::default().with_k(cli.k).with_threads(cli.threads);
-    if cli.paper_features {
-        cfg = cfg.with_features(FeatureMask::from_ids(&table2_features()));
-    }
     if cli.use_store {
         cfg = cfg.with_store(open_store(cli)?);
     }
@@ -714,10 +704,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     fgbs::serve::install_diagnostic_sink(Arc::clone(&store));
     // Requests run the pipeline serially; concurrency comes from the
     // connection workers, so identical queries stay deterministic.
-    let mut cfg = PipelineConfig::default().with_k(cli.k).with_threads(1);
-    if cli.paper_features {
-        cfg = cfg.with_features(FeatureMask::from_ids(&table2_features()));
-    }
+    let cfg = PipelineConfig::default().with_k(cli.k).with_threads(1);
     let service = Arc::new(Service::new(cfg, store));
     let server = Server::start(&cli.addr, cli.threads, service)
         .map_err(|e| format!("cannot serve on {}: {e}", cli.addr))?;
@@ -1310,7 +1297,6 @@ mod tests {
         assert_eq!(c.class, Class::Test);
         assert_eq!(c.k, KChoice::Fixed(5));
         assert_eq!(c.threads, 0, "auto-detect unless --threads given");
-        assert!(!c.paper_features);
         assert_eq!(c.results_dir, "results", "default results dir");
         assert!(!c.use_store);
 
@@ -1320,10 +1306,9 @@ mod tests {
         let c = parse(&argv("select --threads 1")).unwrap();
         assert_eq!(build_config(&c).unwrap().pool().threads(), 1);
 
-        let c = parse(&argv("predict --target atom --paper-features")).unwrap();
+        let c = parse(&argv("predict --target atom")).unwrap();
         assert_eq!(c.command, Command::Predict);
         assert_eq!(c.target.as_deref(), Some("atom"));
-        assert!(c.paper_features);
 
         let c = parse(&argv("select --k elbow")).unwrap();
         assert_eq!(c.command, Command::Select);

@@ -8,9 +8,9 @@
 //!    recomputation, but the artifacts and response bodies a faulted
 //!    run ends with are bitwise equal to a fault-free run's.
 //! 2. **Self-healing.** Corrupt objects are quarantined (never
-//!    decoded), the entry drops from the manifest, and the next
-//!    request recomputes and republishes clean bytes. A corrupt
-//!    MANIFEST is quarantined wholesale and rebuilt from the objects.
+//!    decoded) out of `objects/`, and the next request recomputes and
+//!    republishes clean bytes. The object files are the only index, so
+//!    a stale or corrupt `MANIFEST` left by an older build is ignored.
 //! 3. **Deadlines.** `deadline_ms` turns a slow stage into a prompt
 //!    `503` with the losing stage named — never a cached error.
 //! 4. **Observability.** Retry / quarantine / deadline counters show up
@@ -125,7 +125,7 @@ fn faulted_run_is_byte_identical_to_fault_free_run() {
     // fire caps makes the schedule deterministic: the caps are consumed
     // by the first qualifying operations, retries absorb the rest.
     let plan = FaultPlan::parse(
-        "store.manifest.read=err#1,store.read=err#2,store.read.bytes=corrupt#1,\
+        "store.read=err#2,store.read.bytes=corrupt#1,\
          store.write=err#1,store.write.short=short:1.0:8#1",
         0xC0FFEE,
     )
@@ -209,43 +209,31 @@ fn expired_deadline_is_a_503_that_is_never_cached() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A corrupt MANIFEST does not brick the daemon: healing open
-/// quarantines it and rebuilds the index from the surviving objects.
+/// Older builds kept a `MANIFEST` index at the store root. A corrupt one
+/// left behind is ignored: opening, listing and verifying the store never
+/// read it, nothing rewrites or deletes it, and a service over the store
+/// replays the previous computation from the object files.
 #[test]
-fn corrupt_manifest_heals_on_open_and_serves() {
+fn old_build_manifest_is_ignored_and_serves() {
     let _g = fault_guard();
-    let dir = scratch("manifest");
+    let dir = scratch("old-manifest");
     {
         let (_, service) = service_over(&dir);
         assert_eq!(service.handle(&predict_request()).status, 200);
     }
     let manifest = dir.join("MANIFEST");
-    let mut bytes = fs::read(&manifest).expect("manifest exists");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    fs::write(&manifest, &bytes).expect("rewrite manifest");
+    let planted = b"fgbs-store-manifest v1\nresponse\tnot-a-key\t1\tzz\t0\nchecksum 0\n";
+    fs::write(&manifest, planted).expect("plant an old build's MANIFEST");
 
-    assert!(
-        Store::open(&dir).is_err(),
-        "strict open still refuses a corrupt manifest"
-    );
-    let store = Store::open_healing(&dir).expect("healing open succeeds");
-    assert!(
-        dir.join("quarantine").join("MANIFEST.corrupt").is_file(),
-        "bad manifest parked for forensics"
-    );
-    assert!(
-        !store.list().is_empty(),
-        "index rebuilt from surviving objects"
-    );
+    let store = Store::open(&dir).expect("open ignores the MANIFEST");
+    assert!(!store.list().is_empty(), "objects listed from objects/");
     assert!(store.verify().is_empty());
 
-    // A service over the healed store replays the previous computation
-    // from disk (byte-for-byte, no pipeline work).
     let service = Service::new(PipelineConfig::default().with_threads(1), Arc::new(store));
     let resp = service.handle(&predict_request());
     assert_eq!(resp.status, 200);
-    assert_eq!(resp.source, Some("store"), "served from the healed store");
+    assert_eq!(resp.source, Some("store"), "replayed from the object files");
+    assert_eq!(fs::read(&manifest).expect("left in place"), planted);
 
     let _ = fs::remove_dir_all(&dir);
 }

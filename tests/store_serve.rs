@@ -4,6 +4,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use fgbs::core::{
@@ -95,32 +96,42 @@ fn pipeline_artifacts_round_trip_bitwise_across_processes() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A flipped byte anywhere in the manifest is detected at open.
+/// Concurrent puts of one key (two cold requests that share a `reduce`
+/// artifact, say) each write a temp file of their own: every put
+/// succeeds, every read returns the whole payload, and no torn frame is
+/// ever published and quarantined.
 #[test]
-fn corrupted_manifest_is_detected_at_open() {
-    let dir = scratch("manifest");
-    {
-        let store = Store::open(&dir).unwrap();
-        store.put(ArtifactKind::Profile, "aaaa", b"payload").unwrap();
-    }
-    let manifest = dir.join("MANIFEST");
-    let mut bytes = fs::read(&manifest).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x01;
-    fs::write(&manifest, &bytes).unwrap();
-
-    let err = Store::open(&dir).expect_err("corrupt manifest must not open");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-
-    // Recovery path: drop the bad index and rebuild from the (intact)
-    // objects.
-    fs::remove_file(&manifest).unwrap();
+fn concurrent_puts_of_one_key_never_publish_a_torn_frame() {
+    let dir = scratch("same-key");
     let store = Store::open(&dir).unwrap();
-    assert_eq!(store.rebuild_manifest().unwrap(), 1);
-    assert_eq!(
-        store.get(ArtifactKind::Profile, "aaaa").unwrap().as_deref(),
-        Some(&b"payload"[..])
-    );
+    let payload: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 251) as u8).collect();
+    let (threads, rounds) = (4, 100);
+    let failed_puts = AtomicUsize::new(0);
+    let bad_gets = AtomicUsize::new(0);
+    let gate = Barrier::new(threads);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                gate.wait();
+                for _ in 0..rounds {
+                    if store.put(ArtifactKind::Reduce, "shared", &payload).is_err() {
+                        failed_puts.fetch_add(1, Ordering::Relaxed);
+                    }
+                    match store.get(ArtifactKind::Reduce, "shared") {
+                        Ok(Some(got)) if got == payload => {}
+                        _ => {
+                            bad_gets.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let total = threads * rounds;
+    assert_eq!(failed_puts.into_inner(), 0, "puts failed out of {total}");
+    assert_eq!(bad_gets.into_inner(), 0, "gets missed the payload out of {total}");
+    assert_eq!(store.counters().quarantines, 0, "a torn frame was published");
+    assert!(store.verify().is_empty());
     let _ = fs::remove_dir_all(&dir);
 }
 
