@@ -11,8 +11,14 @@
 //! `min(distinct evaluation requests, 2^genome_len)` entries, and at the
 //! paper's scale (76-bit genomes, 100 × 1000 evaluations) that is at most
 //! 100 000 `(genome, f64)` pairs — small enough to keep forever.
+//!
+//! One mutex guards the table. Only the GA's driver thread touches it
+//! ([`crate::minimize_parallel`] looks a batch up before its pool map and
+//! inserts after it), so the lock is never contended.
 
-use fgbs_pool::MemoCache;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::genome::BitGenome;
 
@@ -20,23 +26,29 @@ use crate::genome::BitGenome;
 /// counters.
 #[derive(Debug, Default)]
 pub struct FitnessCache {
-    inner: MemoCache<BitGenome, f64>,
+    table: Mutex<HashMap<BitGenome, f64>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl FitnessCache {
     /// An empty cache.
     pub fn new() -> FitnessCache {
-        FitnessCache {
-            inner: MemoCache::new(),
-        }
+        FitnessCache::default()
+    }
+
+    /// The table. Nothing that can panic runs under the lock, so even a
+    /// poisoned table is whole.
+    fn table(&self) -> MutexGuard<'_, HashMap<BitGenome, f64>> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Cached fitness of `genome`, recording a hit or a miss.
     pub fn lookup(&self, genome: &BitGenome) -> Option<f64> {
-        let found = self.inner.get(genome);
+        let found = self.peek(genome);
         match found {
-            Some(_) => fgbs_trace::counter("ga.cache_hits", 1),
-            None => fgbs_trace::counter("ga.cache_misses", 1),
+            Some(_) => self.count_hit(),
+            None => self.count_miss(),
         }
         found
     }
@@ -45,51 +57,51 @@ impl FitnessCache {
     /// accounts hits and misses itself so the counters match what a
     /// serial one-at-a-time evaluation would have recorded).
     pub fn peek(&self, genome: &BitGenome) -> Option<f64> {
-        self.inner.peek(genome)
+        self.table().get(genome).copied()
     }
 
     /// Record a hit accounted externally (see [`FitnessCache::peek`]).
     pub fn count_hit(&self) {
-        self.inner.count_hit();
+        self.hits.fetch_add(1, Ordering::Relaxed);
         fgbs_trace::counter("ga.cache_hits", 1);
     }
 
     /// Record a miss accounted externally.
     pub fn count_miss(&self) {
-        self.inner.count_miss();
+        self.misses.fetch_add(1, Ordering::Relaxed);
         fgbs_trace::counter("ga.cache_misses", 1);
     }
 
     /// Store the fitness of a genome evaluated by the caller.
     pub fn insert(&self, genome: BitGenome, fitness: f64) {
-        self.inner.insert(genome, fitness);
+        self.table().insert(genome, fitness);
     }
 
     /// Snapshot every cached `(genome, fitness)` pair, for persisting
     /// warm starts across processes. Iteration order is unspecified —
     /// serialisers must sort.
     pub fn entries(&self) -> Vec<(BitGenome, f64)> {
-        self.inner.entries()
+        self.table().iter().map(|(g, &f)| (g.clone(), f)).collect()
     }
 
     /// Number of distinct genomes cached.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.table().len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len() == 0
     }
 
     /// Lookups answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.inner.hits()
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Lookups that required evaluating the fitness function.
     pub fn misses(&self) -> u64 {
-        self.inner.misses()
+        self.misses.load(Ordering::Relaxed)
     }
 }
 

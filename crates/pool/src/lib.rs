@@ -7,19 +7,19 @@
 //!
 //! # Design
 //!
-//! [`WorkPool::map_indexed`] splits the index range into cache-friendly
-//! chunks and deals them round-robin onto per-worker deques. Each worker
-//! drains its own deque from the front and, when empty, *steals* from the
-//! back of the most-loaded victim — dynamic load balancing without a
-//! central bottleneck. Threads are scoped (`std::thread::scope`), so the
-//! mapped closure may borrow freely from the caller's stack.
+//! [`WorkPool::map_indexed`] spawns its workers under
+//! `std::thread::scope`, so the mapped closure may borrow freely from the
+//! caller's stack. The workers share one atomic cursor: each claims the
+//! next unclaimed index, runs it, and claims again until the range is
+//! exhausted, so a slow item holds up only the worker running it. Each
+//! worker hands its `(index, result)` pairs back through its join handle.
 //!
 //! # Determinism contract
 //!
-//! Every result is written to the slot of its *index*, never to a
-//! position dependent on scheduling, and the mapped function is required
-//! to be pure (same index ⇒ same value). Under that contract the output
-//! of [`WorkPool::map_indexed`] is **bitwise identical** for every thread
+//! Every result is placed by its *index*, never by a position dependent
+//! on scheduling, and the mapped function is required to be pure (same
+//! index ⇒ same value). Under that contract the output of
+//! [`WorkPool::map_indexed`] is **bitwise identical** for every thread
 //! count, including the inline serial path — the property the determinism
 //! test suite in `tests/properties.rs` enforces end-to-end.
 
@@ -27,17 +27,13 @@
 #![warn(missing_debug_implementations)]
 
 mod exec;
-mod memo;
 
 pub use exec::Executor;
-pub use memo::MemoCache;
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
-use parking_lot::Mutex;
-
-/// A scoped, work-stealing executor over index ranges.
+/// A scoped executor over index ranges.
 ///
 /// The pool is a lightweight handle (it holds only the thread count);
 /// worker threads are spawned per call and joined before the call
@@ -46,14 +42,6 @@ use parking_lot::Mutex;
 pub struct WorkPool {
     threads: usize,
 }
-
-/// Target number of chunks dealt per worker: enough slack for stealing to
-/// even out imbalance, few enough to keep claim overhead negligible.
-const CHUNKS_PER_WORKER: usize = 8;
-
-/// One chunk's output window: the chunk's start index plus exclusive
-/// access to the result slots it owns.
-type Window<'a, R> = Mutex<(usize, &'a mut [Option<R>])>;
 
 impl WorkPool {
     /// A pool running on `threads` workers. `0` selects the machine's
@@ -85,6 +73,11 @@ impl WorkPool {
     /// Every call records a `pool.map` trace span; spans recorded inside
     /// `f` on worker threads inherit it as their parent, so the logical
     /// span tree is the same whether the map runs inline or fanned out.
+    ///
+    /// # Panics
+    ///
+    /// When `f` panics, the map panics on the caller with the same
+    /// payload, once every worker has stopped.
     pub fn map_indexed<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -99,8 +92,8 @@ impl WorkPool {
         // expire) without perturbing the per-item work or its ordering.
         fgbs_fault::maybe_delay("pool.map");
 
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 || n <= 1 {
+        let workers = self.threads.min(n);
+        if workers <= 1 {
             return (0..n).map(f).collect();
         }
         // The open `pool.map` span is the logical parent of every span
@@ -108,77 +101,29 @@ impl WorkPool {
         // id follows the work onto the workers the same way.
         let span_parent = fgbs_trace::current_span_id();
         let request_id = fgbs_trace::current_request_id();
+        // The cursor publishes no data (results travel through the join
+        // handles), so its claims can be relaxed.
+        let cursor = AtomicUsize::new(0);
 
-        let chunk = chunk_size(n, workers);
-        let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-        out.resize_with(n, || None);
-
-        {
-            // Disjoint output windows, one per chunk; a chunk is claimed by
-            // exactly one worker, so each Mutex is uncontended in practice.
-            let windows: Vec<Window<'_, R>> = out
-                .chunks_mut(chunk)
-                .enumerate()
-                .map(|(c, w)| Mutex::new((c * chunk, w)))
-                .collect();
-
-            // Deal chunk ids round-robin onto per-worker deques.
-            let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-                .map(|w| Mutex::new((w..windows.len()).step_by(workers).collect()))
-                .collect();
-            let in_flight = AtomicUsize::new(windows.len());
-
-            std::thread::scope(|scope| {
-                for me in 0..workers {
-                    let queues = &queues;
-                    let windows = &windows;
-                    let in_flight = &in_flight;
-                    let f = &f;
+        let mut placed: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| {
+                    let (cursor, f) = (&cursor, &f);
                     scope.spawn(move || {
                         let _trace_ctx = fgbs_trace::inherit_parent(span_parent);
                         let _request_ctx = fgbs_trace::enter_request(request_id);
-                        let spawned = std::time::Instant::now();
+                        let spawned = Instant::now();
                         let mut run_ns: u64 = 0;
-                        let mut chunks: u64 = 0;
-                        loop {
-                            // Own work first (front), then steal from the
-                            // back of the most-loaded victim. The own-queue
-                            // guard must drop before stealing: holding it
-                            // while locking a victim's queue is an AB-BA
-                            // deadlock when two empty workers steal from
-                            // each other.
-                            let own = queues[me].lock().pop_front();
-                            let next = own.or_else(|| {
-                                let victim = (0..queues.len())
-                                    .filter(|&v| v != me)
-                                    .max_by_key(|&v| queues[v].lock().len())?;
-                                queues[victim].lock().pop_back()
-                            });
-                            let Some(c) = next else {
-                                // All queues looked empty; someone may still
-                                // be filling slots, but no new work will
-                                // appear.
-                                if in_flight.load(Ordering::Acquire) == 0 {
-                                    break;
-                                }
-                                std::thread::yield_now();
-                                if queues.iter().all(|q| q.lock().is_empty()) {
-                                    break;
-                                }
-                                continue;
-                            };
-                            let run_started = std::time::Instant::now();
-                            let mut guard = windows[c].lock();
-                            let (start, window) = &mut *guard;
-                            for (off, slot) in window.iter_mut().enumerate() {
-                                *slot = Some(f(*start + off));
-                            }
-                            in_flight.fetch_sub(1, Ordering::Release);
+                        let mut done = Vec::new();
+                        let claims =
+                            std::iter::repeat_with(|| cursor.fetch_add(1, Ordering::Relaxed));
+                        for i in claims.take_while(|&i| i < n) {
+                            let run_started = Instant::now();
+                            done.push((i, f(i)));
                             run_ns += run_started.elapsed().as_nanos() as u64;
-                            chunks += 1;
                         }
                         // Queue wait = worker lifetime minus time spent
-                        // running chunks: claim/steal/idle overhead.
+                        // running items: spawn, claim and idle overhead.
                         if fgbs_trace::enabled() {
                             let total_ns = spawned.elapsed().as_nanos() as u64;
                             fgbs_trace::stat(&format!("pool.w{me}.run_us"), run_ns / 1_000);
@@ -186,16 +131,21 @@ impl WorkPool {
                                 &format!("pool.w{me}.wait_us"),
                                 total_ns.saturating_sub(run_ns) / 1_000,
                             );
-                            fgbs_trace::stat(&format!("pool.w{me}.chunks"), chunks);
+                            fgbs_trace::stat(&format!("pool.w{me}.items"), done.len() as u64);
                         }
-                    });
-                }
-            });
-        }
-
-        out.into_iter()
-            .map(|r| r.expect("every chunk was executed"))
-            .collect()
+                        done
+                    })
+                })
+                .collect();
+            // A worker's panic resumes here with the item's own payload;
+            // the scope joins the other workers before it propagates.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        placed.sort_unstable_by_key(|&(i, _)| i);
+        placed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Run `f` for every index in `0..n`, for side effects (e.g.
@@ -227,11 +177,6 @@ impl Default for WorkPool {
     fn default() -> Self {
         WorkPool::new(0)
     }
-}
-
-/// Chunk size giving each worker several chunks to claim or lose.
-fn chunk_size(n: usize, workers: usize) -> usize {
-    n.div_ceil(workers * CHUNKS_PER_WORKER).max(1)
 }
 
 #[cfg(test)]
@@ -268,10 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_work_is_stolen() {
-        // Front-loaded cost: without stealing, worker 0 would do almost
-        // everything while the rest idle; with stealing it still finishes
-        // and stays correct.
+    fn front_loaded_work_completes_in_order() {
+        // Front-loaded cost: the workers that claim the heavy items keep
+        // them while the rest drain the cheap tail.
         let pool = WorkPool::new(4);
         let out = pool.map_indexed(64, |i| {
             if i < 8 {
@@ -287,14 +231,40 @@ mod tests {
 
     #[test]
     fn repeated_small_maps_do_not_deadlock() {
-        // Regression: stealing while still holding the own-queue guard
-        // deadlocked two simultaneously-empty workers (AB-BA). Many tiny
-        // maps with more workers than chunks maximise empty-steal
-        // collisions.
+        // Many tiny maps with more workers than items: most workers find
+        // the cursor already past the end on their first claim and must
+        // exit at once, and every map must still join all its workers.
         let pool = WorkPool::new(8);
         for round in 0..300 {
             let out = pool.map_indexed(5, |i| i + round);
             assert_eq!(out, vec![round, round + 1, round + 2, round + 3, round + 4]);
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_the_pool_still_maps() {
+        for threads in [1, 4] {
+            let pool = WorkPool::new(threads);
+            let caught = std::panic::catch_unwind(|| {
+                pool.map_indexed(64, |i| {
+                    if i == 37 {
+                        panic!("item 37 failed");
+                    }
+                    i
+                })
+            });
+            let payload = caught.expect_err("the item's panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"item 37 failed"),
+                "threads={threads}: the caller sees the item's own payload"
+            );
+            let again = pool.map_indexed(64, |i| i * 3);
+            assert_eq!(
+                again,
+                (0..64).map(|i| i * 3).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
         }
     }
 
@@ -320,15 +290,5 @@ mod tests {
         assert!(WorkPool::new(0).threads() >= 1);
         assert_eq!(WorkPool::new(5).threads(), 5);
         assert_eq!(WorkPool::serial().threads(), 1);
-    }
-
-    #[test]
-    fn chunk_sizes_are_sane() {
-        assert_eq!(chunk_size(1, 1), 1);
-        assert!(chunk_size(1000, 8) >= 1);
-        // Enough chunks for stealing but not pathological.
-        let c = chunk_size(1000, 8);
-        let chunks = 1000usize.div_ceil(c);
-        assert!((8..=1000).contains(&chunks), "chunks={chunks}");
     }
 }

@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use fgbs_core::{
@@ -247,7 +247,7 @@ pub struct Service {
     store: Arc<Store>,
     flight: SingleFlight<Arc<Response>>,
     metrics: Metrics,
-    profiles: Mutex<HashMap<String, Arc<ProfiledSuite>>>,
+    profiles: Mutex<HashMap<String, Arc<OnceLock<Arc<ProfiledSuite>>>>>,
     computations: AtomicU64,
     in_flight: AtomicU64,
     shed: AtomicU64,
@@ -463,22 +463,19 @@ impl Service {
     }
 
     /// The profiled suite of a subject, memoised in memory for the
-    /// process's lifetime and store-backed across processes.
+    /// process's lifetime and store-backed across processes. Concurrent
+    /// first requests for one subject share one profile: the first
+    /// computes it and the rest wait on its cell.
     fn profiled(&self, subject: &Subject) -> Arc<ProfiledSuite> {
-        let memo_key = subject.memo_key();
-        if let Some(p) = self.profiles.lock().get(&memo_key) {
-            return Arc::clone(p);
-        }
-        let apps = subject.applications();
-        let t0 = Instant::now();
-        let suite = Arc::new(profile_reference(&apps, &self.cfg));
-        self.metrics
-            .record("stage.profile", t0.elapsed().as_micros() as u64);
-        self.profiles
-            .lock()
-            .entry(memo_key)
-            .or_insert(suite)
-            .clone()
+        let cell = Arc::clone(self.profiles.lock().entry(subject.memo_key()).or_default());
+        let suite = cell.get_or_init(|| {
+            let t0 = Instant::now();
+            let suite = profile_reference(&subject.applications(), &self.cfg);
+            self.metrics
+                .record("stage.profile", t0.elapsed().as_micros() as u64);
+            Arc::new(suite)
+        });
+        Arc::clone(suite)
     }
 
     /// The service's pipeline configuration for one request, bounded by
@@ -616,6 +613,18 @@ impl Service {
         deadline: Option<Deadline>,
     ) -> Result<Response, PipelineError> {
         let suite = self.profiled(subject);
+        if let Subject::Pack { id, pack } = subject {
+            // A pack with no snippets, or none the finder can measure.
+            if suite.is_empty() {
+                return Ok(Response::error(
+                    400,
+                    &format!(
+                        "snippet pack `{id}` ({}) profiles to no codelets: nothing to reduce",
+                        pack.name
+                    ),
+                ));
+            }
+        }
         let cfg = self.request_cfg(deadline).with_k(k);
         let reduced = self.stage("stage.reduce", || {
             try_reduce_cached(&suite, &cfg, &MicroCache::new())
@@ -962,7 +971,7 @@ impl Service {
                     ("evictions", Json::U64(sc.evictions)),
                     ("retries", Json::U64(sc.retries)),
                     ("quarantines", Json::U64(sc.quarantines)),
-                    ("artifacts", Json::U64(self.store.list().len() as u64)),
+                    ("artifacts", Json::U64(self.store.count() as u64)),
                 ]),
             ),
             (

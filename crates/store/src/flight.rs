@@ -6,26 +6,16 @@
 //! store this gives the serve daemon its "concurrent identical queries
 //! compute once" guarantee: the leader computes and persists, followers
 //! coalesce, and later requests hit the store.
+//!
+//! Each in-flight key owns one `OnceLock`, whose `get_or_init` elects the
+//! leader and blocks the followers. A leader that panics leaves the cell
+//! empty, and the next caller to reach it — a waiting follower or a later
+//! request — computes in its place, so a failed flight never wedges its
+//! key.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-
-/// A slot the leader fills and followers wait on.
-#[derive(Debug)]
-struct Slot<V> {
-    value: Mutex<Option<V>>,
-    ready: Condvar,
-}
-
-impl<V> Slot<V> {
-    fn new() -> Slot<V> {
-        Slot {
-            value: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-}
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Keyed single-flight group with flight/coalesce counters.
 ///
@@ -33,7 +23,7 @@ impl<V> Slot<V> {
 /// clone (the serve daemon stores `Arc`'d response bodies).
 #[derive(Debug, Default)]
 pub struct SingleFlight<V> {
-    inflight: Mutex<HashMap<String, Arc<Slot<V>>>>,
+    inflight: Mutex<HashMap<String, Arc<OnceLock<V>>>>,
     flights: AtomicU64,
     coalesced: AtomicU64,
 }
@@ -55,43 +45,28 @@ impl<V: Clone> SingleFlight<V> {
     /// finishes, so a *later* call with the same key starts a fresh flight
     /// — persistent memoisation is the store's job, not this type's.
     pub fn run(&self, key: &str, compute: impl FnOnce() -> V) -> (V, bool) {
-        let (slot, leader) = {
-            let mut m = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-            match m.get(key) {
-                Some(s) => (Arc::clone(s), false),
-                None => {
-                    let s = Arc::new(Slot::new());
-                    m.insert(key.to_string(), Arc::clone(&s));
-                    (s, true)
-                }
-            }
-        };
-
-        if leader {
-            self.flights.fetch_add(1, Ordering::Relaxed);
-            // Leadership depends on arrival timing, so these are stats,
-            // not deterministic counters.
-            fgbs_trace::stat("flight.flights", 1);
-            let v = compute();
-            {
-                let mut g = slot.value.lock().unwrap_or_else(|e| e.into_inner());
-                *g = Some(v.clone());
-            }
-            slot.ready.notify_all();
-            self.inflight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(key);
-            (v, true)
+        // The map lock is never held while computing or waiting, so no
+        // panic can poison it.
+        let inflight = || self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
+        let cell = Arc::clone(inflight().entry(key.to_string()).or_default());
+        let mut led = false;
+        let v = cell
+            .get_or_init(|| {
+                led = true;
+                self.flights.fetch_add(1, Ordering::Relaxed);
+                // Leadership depends on arrival timing, so these are
+                // stats, not deterministic counters.
+                fgbs_trace::stat("flight.flights", 1);
+                compute()
+            })
+            .clone();
+        if led {
+            inflight().remove(key);
         } else {
             self.coalesced.fetch_add(1, Ordering::Relaxed);
             fgbs_trace::stat("flight.coalesced", 1);
-            let mut g = slot.value.lock().unwrap_or_else(|e| e.into_inner());
-            while g.is_none() {
-                g = slot.ready.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            (g.clone().expect("leader filled the slot"), false)
         }
+        (v, led)
     }
 
     /// Number of computations actually executed (leaders).
@@ -109,8 +84,10 @@ impl<V: Clone> SingleFlight<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn serial_calls_each_fly() {
@@ -162,5 +139,62 @@ mod tests {
         let (b, _) = sf.run("y", || "y-val");
         assert_eq!((a, b), ("x-val", "y-val"));
         assert_eq!(sf.flights(), 2);
+    }
+
+    #[test]
+    fn a_panicking_leader_does_not_wedge_its_key() {
+        let sf: Arc<SingleFlight<u32>> = Arc::new(SingleFlight::new());
+        let timeout = Duration::from_secs(5);
+        // Each caller runs on a detached thread and reports through a
+        // channel, so a wedged key fails the test instead of hanging it.
+        let call = |compute: Box<dyn FnOnce() -> u32 + Send>| {
+            let sf = Arc::clone(&sf);
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let out = std::panic::catch_unwind(AssertUnwindSafe(|| sf.run("k", compute)));
+                let _ = tx.send(out.ok());
+            });
+            rx
+        };
+
+        let (computing_tx, computing_rx) = mpsc::channel();
+        let (fail_tx, fail_rx) = mpsc::channel::<()>();
+        let leader = call(Box::new(move || {
+            computing_tx.send(()).unwrap();
+            fail_rx.recv().unwrap();
+            panic!("leader failed")
+        }));
+        computing_rx
+            .recv_timeout(timeout)
+            .expect("the leader is computing");
+        let follower = call(Box::new(|| 7));
+        // The follower has joined the leader's flight once it holds the
+        // key's cell too: the map, the leader and the follower.
+        let joined_by = Instant::now() + timeout;
+        while Arc::strong_count(&sf.inflight.lock().unwrap()["k"]) < 3 {
+            assert!(
+                Instant::now() < joined_by,
+                "the follower never joined the flight"
+            );
+            std::thread::yield_now();
+        }
+        fail_tx.send(()).unwrap();
+
+        assert_eq!(
+            leader.recv_timeout(timeout),
+            Ok(None),
+            "the leader's panic reaches its caller"
+        );
+        assert_eq!(
+            follower.recv_timeout(timeout),
+            Ok(Some((7, true))),
+            "the waiting follower computes in the leader's place"
+        );
+        assert_eq!(
+            call(Box::new(|| 8)).recv_timeout(timeout),
+            Ok(Some((8, true))),
+            "a later caller starts a fresh flight"
+        );
+        assert_eq!((sf.flights(), sf.coalesced()), (3, 0));
     }
 }

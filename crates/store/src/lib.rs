@@ -389,38 +389,56 @@ impl Store {
         }
     }
 
-    /// Every stored artifact, sorted by kind then key (stable listing).
-    ///
-    /// One scan of `objects/<kind>/` per kind: the key is the file name
-    /// without `.bin` (temp files and other strays are skipped),
-    /// `stored_at` the file's mtime, and `bytes` the file length minus
+    /// The object files, one scan of `objects/<kind>/` per kind, with
+    /// their keys: the file name without `.bin` (temp files and other
+    /// strays are skipped). Nothing is read or stat'ed.
+    fn objects(&self) -> impl Iterator<Item = (ArtifactKind, String, fs::DirEntry)> + '_ {
+        ArtifactKind::ALL.into_iter().flat_map(move |kind| {
+            let entries = fs::read_dir(self.kind_dir(kind))
+                .into_iter()
+                .flatten()
+                .flatten();
+            entries.filter_map(move |entry| {
+                let key = entry
+                    .file_name()
+                    .to_str()?
+                    .strip_suffix(".bin")?
+                    .to_string();
+                Some((kind, key, entry))
+            })
+        })
+    }
+
+    /// Every stored artifact, sorted by kind then key (stable listing):
+    /// `stored_at` is the file's mtime, and `bytes` the file length minus
     /// the frame. No object is read.
     pub fn list(&self) -> Vec<ArtifactMeta> {
-        let mut listed = Vec::new();
-        for kind in ArtifactKind::ALL {
-            let Ok(entries) = fs::read_dir(self.kind_dir(kind)) else { continue };
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(key) = name.to_str().and_then(|n| n.strip_suffix(".bin")) else {
-                    continue;
-                };
+        let mut listed: Vec<ArtifactMeta> = self
+            .objects()
+            .filter_map(|(kind, key, entry)| {
                 // Gone since the directory was read (gc, quarantine).
-                let Ok(meta) = entry.metadata() else { continue };
+                let meta = entry.metadata().ok()?;
                 let stored_at = meta
                     .modified()
                     .ok()
                     .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
                     .map_or(0, |d| d.as_secs());
-                listed.push(ArtifactMeta {
+                Some(ArtifactMeta {
                     kind,
-                    key: key.to_string(),
-                    bytes: payload_len(meta.len(), kind, key),
+                    bytes: payload_len(meta.len(), kind, &key),
+                    key,
                     stored_at,
-                });
-            }
-        }
+                })
+            })
+            .collect();
         listed.sort_by(|a, b| (a.kind, &a.key).cmp(&(b.kind, &b.key)));
         listed
+    }
+
+    /// Number of stored artifacts: the names [`Store::list`] would list,
+    /// counted without a `stat` per object.
+    pub fn count(&self) -> usize {
+        self.objects().count()
     }
 
     /// Evict the oldest artifacts, keeping at most `keep_per_kind` of
@@ -629,6 +647,7 @@ mod tests {
             .map(|m| ArtifactMeta { stored_at: 0, ..m })
             .collect();
         assert_eq!(listed, expected);
+        assert_eq!(s.count(), listed.len(), "the count skips strays too");
         assert!(s.verify().is_empty(), "strays are not objects");
         fs::remove_dir_all(&root).unwrap();
     }

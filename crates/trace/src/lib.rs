@@ -23,7 +23,7 @@
 //!    inside workers graft under the same logical parent they would
 //!    have had inline.
 //! 2. **The counter/stat split.** Quantities that depend on scheduling
-//!    (chunk counts, steal counts, queue waits, cache races) are
+//!    (per-worker item counts, queue waits, cache races) are
 //!    recorded as *stats* and excluded from [`Trace::digest`];
 //!    deterministic counts (items processed, Ward merges, GA cache
 //!    hits) are *counters* and included.

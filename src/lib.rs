@@ -23,7 +23,7 @@
 //! | [`extract`] | `fgbs-extract` | applications, codelet finder, memory dumps, microbenchmarks |
 //! | [`clustering`] | `fgbs-clustering` | Ward hierarchical clustering + elbow |
 //! | [`genetic`] | `fgbs-genetic` | GA feature selection |
-//! | [`pool`] | `fgbs-pool` | shared work-stealing pool + memoization cache |
+//! | [`pool`] | `fgbs-pool` | shared scoped work pool + daemon job executor |
 //! | [`reactor`] | `fgbs-reactor` | minimal epoll readiness reactor (wake fd, interest sets) |
 //! | [`suites`] | `fgbs-suites` | Numerical Recipes + NAS-like benchmark suites |
 //! | [`core`] | `fgbs-core` | the five-step pipeline and prediction model |

@@ -2,13 +2,15 @@
 //! predict-over-snippet, and the quarantine path for corrupt uploads.
 
 use std::fs;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use fgbs::core::{KChoice, PipelineConfig};
 use fgbs::pool::WorkPool;
 use fgbs::serve::{Request, Service};
-use fgbs::snippet::{build_pack, encode_pack, list_packs, pack_id, verify_pack};
+use fgbs::snippet::{build_pack, encode_pack, list_packs, pack_id, verify_pack, Pack, Provenance};
 use fgbs::store::Store;
 use fgbs::suites::{bigdata_suite, Class};
 
@@ -151,6 +153,52 @@ fn corrupt_pack_is_quarantined_never_published_never_executed() {
     let resp = service.handle(&get("/predict", &[("snippet", id.as_str())]));
     assert_eq!(resp.status, 404, "quarantined pack is not addressable");
     assert_eq!(service.computations(), 0, "nothing was ever executed");
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A pack that profiles to no codelets (here one with no snippets, which
+/// the parser accepts) answers `/predict` with a structured 400 naming
+/// the pack. Twice: the first request must leave nothing behind that
+/// the second could wait on.
+#[test]
+fn empty_pack_predicts_answer_400_and_never_wedge() {
+    let dir = scratch("empty");
+    let (_store, service) = service(&dir);
+    let service = Arc::new(service);
+    let bytes = encode_pack(&Pack {
+        name: "no-snippets".to_string(),
+        provenance: Provenance {
+            suite: "bigdata".to_string(),
+            extraction: "class=test".to_string(),
+        },
+        snippets: Vec::new(),
+    });
+    let id = verify_pack(&bytes).unwrap().id;
+    let resp = service.handle(&post_snippets(bytes));
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+
+    for attempt in 0..2 {
+        // Each request runs on a detached thread, so a panic or a wedged
+        // flight fails the test instead of hanging it.
+        let svc = Arc::clone(&service);
+        let req = get(
+            "/predict",
+            &[("snippet", id.as_str()), ("target", "atom"), ("k", "3")],
+        );
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| svc.handle(&req)));
+            let _ = tx.send(out.ok());
+        });
+        let resp = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("request {attempt} did not answer: {e}"))
+            .unwrap_or_else(|| panic!("request {attempt} panicked"));
+        let body = String::from_utf8_lossy(&resp.body).to_string();
+        assert_eq!(resp.status, 400, "request {attempt}: {body}");
+        assert!(body.contains(&id) && body.contains("no-snippets"), "{body}");
+    }
 
     let _ = fs::remove_dir_all(&dir);
 }

@@ -14,6 +14,7 @@ use fgbs::machine::{Arch, PARK_SCALE};
 use fgbs::serve::{Request, Service};
 use fgbs::store::{ArtifactKind, Store};
 use fgbs::suites::{nr_suite, Class};
+use fgbs::trace::Json;
 
 /// A unique scratch directory per test (removed on success).
 fn scratch(tag: &str) -> PathBuf {
@@ -201,6 +202,50 @@ fn simultaneous_identical_predicts_compute_once() {
         responses.iter().any(|r| r.source == Some("computed")),
         "exactly one leader computed"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Two simultaneous cold `/predict`s for one suite but different targets
+/// share one profile: the second waits on the first's instead of
+/// profiling the suite again.
+#[test]
+fn concurrent_first_predicts_for_two_targets_profile_once() {
+    let dir = scratch("profile-once");
+    let store = Arc::new(Store::open(&dir).unwrap());
+    let service = Service::new(PipelineConfig::default().with_threads(1), store);
+
+    let barrier = Barrier::new(2);
+    let statuses: Vec<u16> = std::thread::scope(|s| {
+        let handles: Vec<_> = ["atom", "core2"]
+            .into_iter()
+            .map(|target| {
+                let (service, barrier) = (&service, &barrier);
+                s.spawn(move || {
+                    let mut req = predict_request("5");
+                    req.query[2].1 = target.to_string();
+                    barrier.wait();
+                    service.handle(&req).status
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(statuses, vec![200, 200]);
+    assert_eq!(service.computations(), 2, "one response per target");
+
+    let metrics = service.handle(&Request {
+        method: "GET".to_string(),
+        path: "/metrics".to_string(),
+        query: Vec::new(),
+        body: Vec::new(),
+    });
+    let doc = Json::parse(&String::from_utf8_lossy(&metrics.body)).expect("metrics JSON");
+    let profiles = doc
+        .get("requests")
+        .and_then(|r| r.get("stage.profile"))
+        .and_then(|p| p.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(profiles, Some(1), "the suite was profiled once");
     let _ = fs::remove_dir_all(&dir);
 }
 
