@@ -10,7 +10,7 @@ use fgbs_machine::Arch;
 
 use crate::config::PipelineConfig;
 use crate::micras::MicroCache;
-use crate::profile::{profile_target, ProfiledSuite};
+use crate::profile::ProfiledSuite;
 use crate::reduce::ReducedSuite;
 
 /// Per-codelet prediction vs ground truth on one target.
@@ -205,20 +205,19 @@ pub fn predict(
     target: &Arch,
     cfg: &PipelineConfig,
 ) -> PredictionOutcome {
-    crate::persist::cached(
-        cfg,
-        fgbs_store::ArtifactKind::Predict,
-        || crate::persist::predict_key(suite, reduced, target, cfg),
-        crate::persist::decode_prediction,
-        crate::persist::encode_prediction,
-        || compute_predict(suite, reduced, target, cfg),
-    )
+    predict_cached(suite, reduced, target, &MicroCache::new(), cfg)
 }
 
-/// Deadline- and input-validating [`predict`]: checks the request
-/// budget at the stage boundary (around the `stage.predict` failpoint)
-/// and rejects non-finite reference times with a typed error before
-/// they can poison the prediction ratios.
+/// Deadline- and input-validating [`predict`] over a suite's simulation
+/// cache: checks the request budget at the stage boundary (around the
+/// `stage.predict` failpoint) and rejects non-finite reference times
+/// with a typed error before they can poison the prediction ratios.
+///
+/// A predict-artifact store hit simulates nothing. On a miss the target
+/// runs come from [`MicroCache::target_runs`] and the representatives'
+/// measurements from [`MicroCache::measure`], so a cache that already
+/// holds them (the serve daemon keeps one per suite) pays only for what
+/// it has not simulated.
 ///
 /// `t_pred = t_ref · t_rep / t_ref_rk` divides by each representative's
 /// reference time: a zero or non-finite `t_ref_rk` (a "zero-time
@@ -230,13 +229,36 @@ pub fn try_predict(
     suite: &ProfiledSuite,
     reduced: &ReducedSuite,
     target: &Arch,
+    cache: &MicroCache,
     cfg: &PipelineConfig,
 ) -> Result<PredictionOutcome, crate::PipelineError> {
     cfg.check_deadline("predict")?;
     fgbs_fault::maybe_delay("stage.predict");
     cfg.check_deadline("predict")?;
     validate_finite(suite, reduced)?;
-    Ok(predict(suite, reduced, target, cfg))
+    Ok(predict_cached(suite, reduced, target, cache, cfg))
+}
+
+/// The store-consulting body of [`predict`] and [`try_predict`]: the
+/// stored outcome, or Step E over the runs and measurements in `cache`.
+fn predict_cached(
+    suite: &ProfiledSuite,
+    reduced: &ReducedSuite,
+    target: &Arch,
+    cache: &MicroCache,
+    cfg: &PipelineConfig,
+) -> PredictionOutcome {
+    crate::persist::cached(
+        cfg,
+        fgbs_store::ArtifactKind::Predict,
+        || crate::persist::predict_key(suite, reduced, target, cfg),
+        crate::persist::decode_prediction,
+        crate::persist::encode_prediction,
+        || {
+            let runs = cache.target_runs(suite, target, cfg);
+            predict_with_runs(suite, reduced, target, &runs, cache, cfg)
+        },
+    )
 }
 
 /// Reject reference times that would make the §3.5 model ill-defined.
@@ -268,22 +290,11 @@ fn validate_finite(
     Ok(())
 }
 
-/// The uncached Step E.
-fn compute_predict(
-    suite: &ProfiledSuite,
-    reduced: &ReducedSuite,
-    target: &Arch,
-    cfg: &PipelineConfig,
-) -> PredictionOutcome {
-    let runs = profile_target(suite, target, cfg);
-    predict_with_runs(suite, reduced, target, &runs, &MicroCache::new(), cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::KChoice;
-    use crate::profile::profile_reference;
+    use crate::profile::{profile_reference, profile_target};
     use crate::reduce::reduce_cached;
     use fgbs_suites::{nr_suite, Class};
 
@@ -399,7 +410,7 @@ mod tests {
         let _ = out.median_error_pct(); // NaN-safe sort must not panic
 
         // Fallible path: typed error naming the zero-time representative.
-        let err = try_predict(&suite, &reduced, &atom, &cfg).unwrap_err();
+        let err = try_predict(&suite, &reduced, &atom, &cache, &cfg).unwrap_err();
         match err {
             crate::PipelineError::NonFinite { stage, detail } => {
                 assert_eq!(stage, "predict");
@@ -411,11 +422,11 @@ mod tests {
 
     #[test]
     fn expired_deadline_stops_predict_before_work() {
-        let (suite, reduced, _cache, cfg) = setup(4, 2);
+        let (suite, reduced, cache, cfg) = setup(4, 2);
         let cfg = cfg.with_deadline(fgbs_fault::Deadline::after_ms(0));
         std::thread::sleep(std::time::Duration::from_millis(2));
         let atom = Arch::atom().scaled(fgbs_machine::PARK_SCALE);
-        let err = try_predict(&suite, &reduced, &atom, &cfg).unwrap_err();
+        let err = try_predict(&suite, &reduced, &atom, &cache, &cfg).unwrap_err();
         assert_eq!(err, crate::PipelineError::DeadlineExceeded { stage: "predict" });
     }
 

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use crate::config::{KChoice, PipelineConfig};
 use crate::micras::MicroCache;
 use crate::predict::predict_with_runs;
-use crate::profile::{profile_target, ProfiledSuite};
+use crate::profile::ProfiledSuite;
 use crate::reduce::{reduce_cached, select_representatives, wellness, ReducedSuite};
 use crate::reduction::reduction_factor;
 
@@ -46,7 +46,9 @@ pub fn sweep_k(
 /// Deadline-aware [`sweep_k`]: the budget is checked before every K (a
 /// sweep is the longest-running request the serve daemon exposes), so an
 /// expired request stops between cluster counts instead of finishing the
-/// whole curve.
+/// whole curve. The ground-truth runs come from
+/// [`MicroCache::target_runs`], so a cache that has run the suite on
+/// `target` before simulates no application again.
 pub fn try_sweep_k(
     suite: &ProfiledSuite,
     target: &Arch,
@@ -58,7 +60,7 @@ pub fn try_sweep_k(
     stage_span.arg_u64("k_max", k_max as u64);
     cfg.check_deadline("sweep")?;
     fgbs_fault::maybe_delay("stage.sweep");
-    let runs: Vec<AppRun> = profile_target(suite, target, cfg);
+    let runs = cache.target_runs(suite, target, cfg);
     (1..=k_max.min(suite.len()))
         .map(|k| {
             cfg.check_deadline("sweep")?;
@@ -152,7 +154,7 @@ pub fn random_clustering_errors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_reference;
+    use crate::profile::{profile_reference, profile_target};
     use fgbs_suites::{nr_suite, Class};
 
     fn setup(n: usize) -> (ProfiledSuite, MicroCache, PipelineConfig) {

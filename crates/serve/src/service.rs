@@ -12,7 +12,8 @@
 //!    zero pipeline work, `x-fgbs-source: store`.
 //! 4. On a miss, concurrent identical requests collapse into a single
 //!    flight: one leader runs the pipeline (whose stages themselves
-//!    consult the store for profile/reduce/predict artifacts) and
+//!    consult the store for profile/reduce/predict artifacts, and take
+//!    their simulations from the subject's in-memory cache) and
 //!    persists the rendered body; followers block and share it
 //!    (`computed` vs `coalesced`).
 //! 5. Every request records its latency; pipeline stages record theirs
@@ -238,16 +239,29 @@ fn pack_applications(pack: &Pack) -> Vec<Application> {
         .collect()
 }
 
+/// A profiled subject and its simulations, shared by every request for
+/// the subject over the process's lifetime.
+struct Profiled {
+    suite: ProfiledSuite,
+    /// The subject's target runs and microbenchmark results. The service
+    /// has one configuration, so each entry is a pure function of its
+    /// key.
+    sims: MicroCache,
+}
+
 /// The system-selection service: store-first, single-flighted handlers
 /// over the Steps A–E pipeline. Request-agnostic and socket-free — the
 /// server loop in [`crate`] feeds it, and tests call
 /// [`Service::handle`] directly.
 pub struct Service {
     cfg: PipelineConfig,
+    /// The `Debug` text of the reference machine, finder, feature mask
+    /// and linkage, which every response key absorbs: rendered once.
+    key_cfg: [String; 4],
     store: Arc<Store>,
     flight: SingleFlight<Arc<Response>>,
     metrics: Metrics,
-    profiles: Mutex<HashMap<String, Arc<OnceLock<Arc<ProfiledSuite>>>>>,
+    profiles: Mutex<HashMap<String, Arc<OnceLock<Arc<Profiled>>>>>,
     computations: AtomicU64,
     in_flight: AtomicU64,
     shed: AtomicU64,
@@ -273,6 +287,12 @@ impl Service {
         fgbs_trace::set_capacity(4096);
         fgbs_trace::set_enabled(true);
         Service {
+            key_cfg: [
+                format!("{:?}", cfg.reference),
+                format!("{:?}", cfg.finder),
+                format!("{:?}", cfg.features),
+                format!("{:?}", cfg.linkage),
+            ],
             cfg: cfg.with_store(Arc::clone(&store)),
             store,
             flight: SingleFlight::new(),
@@ -417,11 +437,10 @@ impl Service {
         for p in params {
             h.field(p.as_bytes());
         }
-        h.field_debug(&self.cfg.reference)
-            .field_debug(&self.cfg.finder)
-            .field_debug(&self.cfg.features)
-            .field_debug(&self.cfg.linkage)
-            .field_f64(self.cfg.micro_min_seconds)
+        for text in &self.key_cfg {
+            h.field(text.as_bytes());
+        }
+        h.field_f64(self.cfg.micro_min_seconds)
             .field_u64(self.cfg.micro_min_invocations)
             .field_u64(self.cfg.noise_seed);
         h.finish_hex()
@@ -462,20 +481,24 @@ impl Service {
         r.with_source(if led { "computed" } else { "coalesced" })
     }
 
-    /// The profiled suite of a subject, memoised in memory for the
-    /// process's lifetime and store-backed across processes. Concurrent
-    /// first requests for one subject share one profile: the first
-    /// computes it and the rest wait on its cell.
-    fn profiled(&self, subject: &Subject) -> Arc<ProfiledSuite> {
+    /// The profiled suite of a subject and its simulation cache,
+    /// memoised in memory for the process's lifetime (the profile is also
+    /// store-backed across processes). Concurrent first requests for one
+    /// subject share one profile: the first computes it and the rest wait
+    /// on its cell.
+    fn profiled(&self, subject: &Subject) -> Arc<Profiled> {
         let cell = Arc::clone(self.profiles.lock().entry(subject.memo_key()).or_default());
-        let suite = cell.get_or_init(|| {
+        let profiled = cell.get_or_init(|| {
             let t0 = Instant::now();
             let suite = profile_reference(&subject.applications(), &self.cfg);
             self.metrics
                 .record("stage.profile", t0.elapsed().as_micros() as u64);
-            Arc::new(suite)
+            Arc::new(Profiled {
+                suite,
+                sims: MicroCache::new(),
+            })
         });
-        Arc::clone(suite)
+        Arc::clone(profiled)
     }
 
     /// The service's pipeline configuration for one request, bounded by
@@ -612,7 +635,8 @@ impl Service {
         k_label: &str,
         deadline: Option<Deadline>,
     ) -> Result<Response, PipelineError> {
-        let suite = self.profiled(subject);
+        let profiled = self.profiled(subject);
+        let (suite, sims) = (&profiled.suite, &profiled.sims);
         if let Subject::Pack { id, pack } = subject {
             // A pack with no snippets, or none the finder can measure.
             if suite.is_empty() {
@@ -626,11 +650,9 @@ impl Service {
             }
         }
         let cfg = self.request_cfg(deadline).with_k(k);
-        let reduced = self.stage("stage.reduce", || {
-            try_reduce_cached(&suite, &cfg, &MicroCache::new())
-        })?;
+        let reduced = self.stage("stage.reduce", || try_reduce_cached(suite, &cfg, sims))?;
         let out = self.stage("stage.predict", || {
-            try_predict(&suite, &reduced, target, &cfg)
+            try_predict(suite, &reduced, target, sims, &cfg)
         })?;
 
         let first_party = matches!(subject, Subject::Suite(_));
@@ -718,10 +740,9 @@ impl Service {
         );
         Ok(self.respond_cached(&key, deadline, || {
             self.computations.fetch_add(1, Ordering::Relaxed);
-            let suite = self.profiled(&Subject::Suite(spec));
-            let cache = MicroCache::new();
+            let profiled = self.profiled(&Subject::Suite(spec));
             let cfg = self.request_cfg(deadline);
-            let points = match try_sweep_k(&suite, &target, kmax, &cache, &cfg) {
+            let points = match try_sweep_k(&profiled.suite, &target, kmax, &profiled.sims, &cfg) {
                 Ok(p) => p,
                 Err(e) => return pipeline_error(e),
             };
@@ -755,11 +776,11 @@ impl Service {
         let key = self.response_key("reduce", &[spec.kind, spec.class_name, &k_label]);
         Ok(self.respond_cached(&key, deadline, || {
             self.computations.fetch_add(1, Ordering::Relaxed);
-            let suite = self.profiled(&Subject::Suite(spec));
+            let profiled = self.profiled(&Subject::Suite(spec));
+            let (suite, sims) = (&profiled.suite, &profiled.sims);
             let cfg = self.request_cfg(deadline).with_k(k);
-            let reduced = match self.stage("stage.reduce", || {
-                try_reduce_cached(&suite, &cfg, &MicroCache::new())
-            }) {
+            let reduced = self.stage("stage.reduce", || try_reduce_cached(suite, &cfg, sims));
+            let reduced = match reduced {
                 Ok(r) => r,
                 Err(e) => return pipeline_error(e),
             };
@@ -985,5 +1006,60 @@ impl Service {
             ("computations", Json::U64(self.computations())),
             ("in_flight", Json::U64(self.in_flight())),
         ]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fgbs_analysis::FeatureMask;
+    use fgbs_clustering::Linkage;
+
+    /// The key as it was derived before the configuration text was
+    /// rendered once: every field's `Debug` text formatted per request.
+    /// Responses stored by builds that used it replay only while the two
+    /// agree.
+    fn field_debug_key(cfg: &PipelineConfig, endpoint: &str, params: &[&str]) -> String {
+        let mut h = StableHasher::new();
+        h.field(b"response")
+            .field_u64(fgbs_core::CODEC_VERSION as u64)
+            .field(endpoint.as_bytes());
+        for p in params {
+            h.field(p.as_bytes());
+        }
+        h.field_debug(&cfg.reference)
+            .field_debug(&cfg.finder)
+            .field_debug(&cfg.features)
+            .field_debug(&cfg.linkage)
+            .field_f64(cfg.micro_min_seconds)
+            .field_u64(cfg.micro_min_invocations)
+            .field_u64(cfg.noise_seed);
+        h.finish_hex()
+    }
+
+    #[test]
+    fn response_key_matches_the_per_field_formula() {
+        let mut custom =
+            PipelineConfig::default().with_features(FeatureMask::from_ids(&[0, 3, 41]));
+        custom.noise_seed = 7;
+        custom.linkage = Linkage::Average;
+        let requests: [(&str, &[&str]); 3] = [
+            ("predict", &["nr", "test", "Atom", "elbow"]),
+            ("sweep", &["bigdata", "test", "Sandy Bridge", "1", "8"]),
+            ("reduce", &["nas", "a", "4"]),
+        ];
+        for (i, cfg) in [PipelineConfig::default(), custom].into_iter().enumerate() {
+            let dir =
+                std::env::temp_dir().join(format!("fgbs-service-key-{}-{i}", std::process::id()));
+            let service = Service::new(cfg.clone(), Arc::new(Store::open(&dir).unwrap()));
+            for (endpoint, params) in requests {
+                assert_eq!(
+                    service.response_key(endpoint, params),
+                    field_debug_key(&cfg, endpoint, params),
+                    "{endpoint} {params:?} under config {i}"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -296,6 +296,84 @@ fn second_identical_predict_is_a_store_hit_with_no_recompute() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A service that reuses its subjects' target runs and microbenchmarks
+/// across requests answers each request with the bytes a fresh service
+/// over a fresh store gives for that request alone: the cache's key (the
+/// arch name, within one configuration) never hands one target's or one
+/// stage's simulations to another.
+#[test]
+fn warm_simulation_cache_answers_byte_identically_to_fresh_services() {
+    let request = |method: &str, path: &str, query: &[(&str, &str)]| Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        query: query
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect(),
+        body: Vec::new(),
+    };
+    let predict = |suite, target, k| {
+        request(
+            "GET",
+            "/predict",
+            &[
+                ("suite", suite),
+                ("class", "test"),
+                ("target", target),
+                ("k", k),
+            ],
+        )
+    };
+    let requests = [
+        predict("nr", "atom", "elbow"),
+        predict("nr", "atom", "5"),
+        predict("nr", "sb", "5"),
+        request(
+            "GET",
+            "/sweep",
+            &[
+                ("suite", "nr"),
+                ("class", "test"),
+                ("target", "atom"),
+                ("kmin", "1"),
+                ("kmax", "4"),
+            ],
+        ),
+        request(
+            "POST",
+            "/reduce",
+            &[("suite", "nr"), ("class", "test"), ("k", "4")],
+        ),
+        predict("bigdata", "core2", "2"),
+    ];
+    let service = |tag: String| {
+        let dir = scratch(&tag);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        (
+            dir,
+            Service::new(PipelineConfig::default().with_threads(1), store),
+        )
+    };
+
+    let (shared_dir, shared) = service("warm-shared".to_string());
+    for (i, req) in requests.iter().enumerate() {
+        let warm = shared.handle(req);
+        assert_eq!(warm.status, 200, "{} {:?}", req.path, req.query);
+        assert_eq!(warm.source, Some("computed"));
+        let (dir, fresh) = service(format!("warm-fresh-{i}"));
+        let alone = fresh.handle(req);
+        assert_eq!(alone.status, 200);
+        assert!(
+            warm.body == alone.body,
+            "{} {:?}: the shared service's body differs from a fresh one's",
+            req.path,
+            req.query
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+    let _ = fs::remove_dir_all(&shared_dir);
+}
+
 /// The service rejects nonsense with 400s and structured errors.
 #[test]
 fn service_reports_errors_as_json() {
