@@ -21,6 +21,10 @@ use crate::profile::{profile_target, ProfiledSuite};
 /// needs them.
 type RunsCell = Arc<OnceLock<Arc<Vec<AppRun>>>>;
 
+/// One `(codelet, arch)` microbenchmark result, filled by the first call
+/// that needs it.
+type MicroCell = Arc<OnceLock<MicroResult>>;
+
 /// A thread-safe cache of one suite's simulations: `(codelet index, arch
 /// name) → MicroResult` and `arch name → target runs`.
 ///
@@ -30,7 +34,7 @@ type RunsCell = Arc<OnceLock<Arc<Vec<AppRun>>>>;
 /// park where a name denotes one machine.
 #[derive(Debug, Default)]
 pub struct MicroCache {
-    inner: Mutex<HashMap<(usize, String), MicroResult>>,
+    inner: Mutex<HashMap<(usize, String), MicroCell>>,
     runs: Mutex<HashMap<String, RunsCell>>,
 }
 
@@ -41,7 +45,8 @@ impl MicroCache {
     }
 
     /// Measure codelet `idx`'s microbenchmark on `arch`, or return the
-    /// cached result of a previous measurement.
+    /// cached result of a previous measurement. Concurrent first calls
+    /// for one key wait on one measurement instead of each running it.
     pub fn measure(
         &self,
         idx: usize,
@@ -51,17 +56,27 @@ impl MicroCache {
         min_seconds: f64,
         min_invocations: u64,
     ) -> MicroResult {
-        let key = (idx, arch.name.clone());
-        if let Some(hit) = self.inner.lock().get(&key) {
-            // Stats, not counters: two threads missing the same key both
-            // measure, so hit/measure tallies depend on scheduling.
+        // Stats, not counters: they stay out of the trace digest.
+        let cell = {
+            let mut cells = self.inner.lock();
+            let cell = cells.entry((idx, arch.name.clone())).or_default();
+            if let Some(hit) = cell.get() {
+                fgbs_trace::stat("micro.cache_hits", 1);
+                return hit.clone();
+            }
+            Arc::clone(cell)
+        };
+        let mut waited = true;
+        let r = cell.get_or_init(|| {
+            waited = false;
+            fgbs_trace::stat("micro.measured", 1);
+            micro.run_with(arch, noise_seed ^ idx as u64, min_seconds, min_invocations)
+        });
+        if waited {
+            // Another call measured the key while this one waited.
             fgbs_trace::stat("micro.cache_hits", 1);
-            return hit.clone();
         }
-        let r = micro.run_with(arch, noise_seed ^ idx as u64, min_seconds, min_invocations);
-        fgbs_trace::stat("micro.measured", 1);
-        self.inner.lock().insert(key, r.clone());
-        r
+        r.clone()
     }
 
     /// The ground-truth runs of every application of `suite` on `target`
@@ -80,7 +95,11 @@ impl MicroCache {
 
     /// Number of distinct microbenchmark measurements performed.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner
+            .lock()
+            .values()
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 
     /// True when nothing has been measured yet.

@@ -24,8 +24,9 @@ use crate::ServeOptions;
 pub(crate) enum State {
     /// Waiting for (more of) a request frame.
     Reading,
-    /// A request is out with the executor; reads are paused
-    /// (backpressure) until its response comes back.
+    /// A request is out with the service (answered on the event loop
+    /// or by the executor); reads are paused (backpressure) until its
+    /// response comes back.
     Dispatched,
     /// Draining a rendered response into the transport.
     Writing,
@@ -36,7 +37,8 @@ pub(crate) enum State {
 pub(crate) enum Step {
     /// Nothing actionable; wait for more readiness or time.
     Wait,
-    /// A complete request was parsed — hand it to the executor.
+    /// A complete request was parsed — answer it on the event loop or
+    /// hand it to the executor.
     Dispatch(Request),
     /// Close the connection now (deregister + drop).
     Close,

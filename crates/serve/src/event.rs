@@ -1,21 +1,33 @@
 //! The readiness-driven serve loop (Linux: the reactor polls with epoll).
 //!
 //! One reactor thread owns the listener, every connection's
-//! [`Conn`] state machine, and an epoll [`Poller`]; request handling
-//! runs on the [`Executor`]. The cycle per reactor turn:
+//! [`Conn`] state machine, and an epoll [`Poller`]. It answers itself
+//! what the service can answer without computing
+//! ([`Service::answer_stored`]: a stored response, `/health`); every
+//! other request runs on the [`Executor`]. The cycle per reactor turn:
 //!
 //! 1. `wait` for readiness (or the nearest connection deadline).
 //! 2. Accept new connections; pump readable/writable connections
-//!    through their state machines, collecting parsed requests.
+//!    through their state machines. Each framed request is offered to
+//!    [`Service::answer_stored`] first: an answer is written at once,
+//!    and the pipelined request that writing it may frame is offered
+//!    next, in a loop. The rest are collected.
 //! 3. Drain handler completions (pushed by executor workers, who wake
-//!    the reactor through the poller's wake fd) into response writes.
+//!    the reactor through the poller's wake fd) into response writes,
+//!    offering the requests they frame the same way.
 //! 4. Enforce read/write deadlines (`408`, idle close, poisoning).
-//! 5. Submit the turn's requests: each passes **admission control**
-//!    (shed with a `503` when `queue depth × EWMA endpoint latency`
-//!    already exceeds its deadline, the depth counting every request
-//!    queued or running), then goes to the executor as its own job. A
-//!    store hit is answered as soon as its own job finishes, whatever
-//!    else arrived in the same turn.
+//! 5. Submit the turn's collected requests: each passes **admission
+//!    control** (shed with a `503` when `queue depth × EWMA endpoint
+//!    latency` already exceeds its deadline, the depth counting every
+//!    request queued or running and the EWMA only requests the executor
+//!    handled), then goes to the executor as its own job.
+//!
+//! Inline answers come before admission control, since shedding a
+//! request that costs nothing to answer protects nothing, and run under
+//! the same panic firewall as executor jobs. The loop never runs a
+//! pipeline stage or waits on a flight; its store read may retry a
+//! transient error (bounded by the store's retry policy) or quarantine a
+//! corrupt frame, and a miss or read error goes to the executor.
 //!
 //! Shutdown is an atomic flag plus a wake-fd signal — no self-connect.
 //! The executor drains already-dispatched requests and their responses
@@ -212,7 +224,7 @@ impl Loop {
             // observe the close.
             _ => Step::Wait,
         };
-        self.apply(token, step, dispatches);
+        self.apply(token, step, now, dispatches);
     }
 
     fn drain_completions(&mut self, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
@@ -236,7 +248,7 @@ impl Loop {
         };
         reg.conn.on_response(response, now);
         let step = reg.conn.on_writable(now);
-        self.apply(token, step, dispatches);
+        self.apply(token, step, now, dispatches);
     }
 
     fn tick(&mut self, now: Instant, dispatches: &mut Vec<(u64, Request)>) {
@@ -255,18 +267,38 @@ impl Loop {
                 Step::Wait if reg.conn.state() == State::Writing => reg.conn.on_writable(now),
                 s => s,
             };
-            self.apply(token, step, dispatches);
+            self.apply(token, step, now, dispatches);
         }
     }
 
-    fn apply(&mut self, token: u64, step: Step, dispatches: &mut Vec<(u64, Request)>) {
-        match step {
-            Step::Wait => self.sync_interest(token),
-            Step::Dispatch(request) => {
+    /// Act on a connection's step. A framed request the service can
+    /// answer without computing is answered and written right here, and
+    /// writing it may frame the connection's next pipelined request, so
+    /// this loops until a request needs the executor or the connection
+    /// waits. Interest is synced once, at the end: a connection that ends
+    /// the loop in the state it started in costs no `epoll_ctl`.
+    fn apply(
+        &mut self,
+        token: u64,
+        mut step: Step,
+        now: Instant,
+        dispatches: &mut Vec<(u64, Request)>,
+    ) {
+        while let Step::Dispatch(request) = step {
+            let Some(response) = guarded(|| self.service.answer_stored(&request)) else {
                 dispatches.push((token, request));
-                self.sync_interest(token);
-            }
+                step = Step::Wait;
+                break;
+            };
+            let Some(reg) = self.conns.get_mut(&token) else {
+                return;
+            };
+            reg.conn.on_response(response, now);
+            step = reg.conn.on_writable(now);
+        }
+        match step {
             Step::Close => self.close(token),
+            _ => self.sync_interest(token),
         }
     }
 
@@ -322,7 +354,7 @@ impl Loop {
                 let completions = Arc::clone(&self.completions);
                 let waker = self.waker.clone();
                 self.exec.submit(move || {
-                    let response = guarded_handle(&svc, &request);
+                    let response = guarded(|| svc.handle(&request));
                     completions.lock().push((token, response));
                     let _ = waker.wake();
                 });
@@ -354,17 +386,29 @@ impl Loop {
     }
 }
 
-/// Dispatch into the service with a panic firewall: a handler bug takes
-/// down one request (500 with a JSON body), never the worker thread.
-fn guarded_handle(service: &Service, request: &Request) -> Response {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| service.handle(request)))
-        .unwrap_or_else(|_| {
-            fgbs_trace::stat("serve.panics", 1);
-            // The handler's RequestGuard unwound with it, so read the id
-            // back from the global cursor is impossible — dump with the
-            // ambient id (0 outside a request) and let the event window
-            // carry the story.
-            fgbs_trace::flightrec::trigger("panic", fgbs_trace::current_request_id());
-            Response::error(500, "internal error: handler panicked")
-        })
+/// Call into the service with a panic firewall: a handler bug takes down
+/// one request (500 with a JSON body), never the loop or a worker thread.
+fn guarded<T: From<Response>>(handler: impl FnOnce() -> T) -> T {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(handler)).unwrap_or_else(|_| {
+        fgbs_trace::stat("serve.panics", 1);
+        // The handler's RequestGuard unwound with it, so read the id
+        // back from the global cursor is impossible — dump with the
+        // ambient id (0 outside a request) and let the event window
+        // carry the story.
+        fgbs_trace::flightrec::trigger("panic", fgbs_trace::current_request_id());
+        Response::error(500, "internal error: handler panicked").into()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_handler_answers_500_on_the_loop_and_on_a_worker() {
+        let inline: Option<Response> = guarded(|| panic!("handler bug"));
+        assert_eq!(inline.map(|r| r.status), Some(500));
+        let job: Response = guarded(|| panic!("handler bug"));
+        assert_eq!(job.status, 500);
+    }
 }

@@ -6,8 +6,9 @@
 //! (`fgbs-reactor` over epoll, so the server runs on Linux only) with
 //! per-connection state machines: HTTP/1.1 keep-alive and pipelining,
 //! per-connection request budgets and admission-controlled load
-//! shedding. Each admitted request is one job on a
-//! [`fgbs_pool::Executor`]. Endpoints:
+//! shedding. The loop itself answers what needs no computation (a
+//! stored response, `/health`; [`Service::answer_stored`]); every other
+//! admitted request is one job on a [`fgbs_pool::Executor`]. Endpoints:
 //!
 //! | endpoint         | purpose                                        |
 //! |------------------|------------------------------------------------|
@@ -27,13 +28,14 @@
 //! [`Service`] for the full request lifecycle.
 //!
 //! Every request gets a monotonically increasing **request id**,
-//! installed by [`Service::handle`] as the thread's ambient trace
-//! context (the only way it travels: pipeline stages read it there and
-//! the work pool re-enters it on its workers) and echoed as an
-//! `x-fgbs-request-id` response header; spans, counters and
-//! flight-recorder events carry it, so one failing request can be
-//! picked out of `/trace` or a diagnostic dump
-//! ([`install_diagnostic_sink`], `fgbs flightrec show`).
+//! installed by [`Service::answer_stored`] or [`Service::handle`] as
+//! the thread's ambient trace context (the only way it travels:
+//! pipeline stages read it there and the work pool re-enters it on its
+//! workers) and echoed as an `x-fgbs-request-id` response header; a
+//! request the loop looked up and the executor answered is stamped with
+//! the executor's id. Spans, counters and flight-recorder events carry
+//! it, so one failing request can be picked out of `/trace` or a
+//! diagnostic dump ([`install_diagnostic_sink`], `fgbs flightrec show`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,9 @@
 //!
 //! The per-stage estimators double as the latency feed for admission
 //! control (ROADMAP item 1): `ewma × queue depth` against a request's
-//! remaining deadline budget.
+//! remaining deadline budget. Requests the event loop answers itself
+//! never queue, so they count in the quantiles but not in the EWMA
+//! ([`Metrics::record_inline`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,6 +64,11 @@ impl Series {
         self.last_micros.store(micros, Ordering::Relaxed);
     }
 
+    fn record_inline(&self, micros: u64) {
+        self.est.histogram().record(micros);
+        self.last_micros.store(micros, Ordering::Relaxed);
+    }
+
     fn to_json(&self) -> Json {
         let h = self.est.histogram();
         let mut fields = vec![
@@ -109,6 +116,16 @@ impl Metrics {
     pub fn record(&self, name: &str, micros: u64) {
         if let Some(series) = self.find(name).or_else(|| self.find("other")) {
             series.record(micros);
+        }
+    }
+
+    /// Record one sample of a request the event loop answered itself: it
+    /// counts in the quantiles and `last_micros` but not in the EWMA,
+    /// which admission control multiplies by the executor's queue depth
+    /// and so must price an executor job.
+    pub fn record_inline(&self, name: &str, micros: u64) {
+        if let Some(series) = self.find(name).or_else(|| self.find("other")) {
+            series.record_inline(micros);
         }
     }
 
@@ -228,6 +245,18 @@ mod tests {
         assert!(rendered.contains("\"count\""), "{rendered}");
         assert!(rendered.contains("\"total_micros\""), "{rendered}");
         assert!(rendered.contains("\"last_micros\""), "{rendered}");
+    }
+
+    #[test]
+    fn inline_samples_count_but_leave_the_ewma() {
+        let m = Metrics::new();
+        m.record("predict", 3000);
+        for _ in 0..50 {
+            m.record_inline("predict", 10);
+        }
+        assert_eq!(m.count("predict"), 51);
+        assert_eq!(m.last_micros("predict"), 10);
+        assert_eq!(m.ewma_micros("predict"), 3000.0);
     }
 
     #[test]

@@ -3,13 +3,19 @@
 //!
 //! # Request lifecycle
 //!
-//! 1. The event loop parses the request and an executor worker calls
-//!    [`Service::handle`], which assigns its request id.
+//! 1. The event loop parses the request and offers it to
+//!    [`Service::answer_stored`], which answers `/health` and stored
+//!    responses on the loop's thread. Every other request goes to an
+//!    executor worker, which calls [`Service::handle`]. Either call
+//!    assigns the request its id.
 //! 2. The router resolves the endpoint and canonicalises its parameters
 //!    (so `?target=ATOM` and `?target=atom` share one cache entry).
-//! 3. Cacheable endpoints derive a response key and consult the store:
-//!    a hit replays the exact bytes rendered by the first computation —
-//!    zero pipeline work, `x-fgbs-source: store`.
+//! 3. Cacheable endpoints derive a response key, in one place each, and
+//!    consult the store: a hit replays the exact bytes rendered by the
+//!    first computation — zero pipeline work, `x-fgbs-source: store`.
+//!    [`Service::handle`] looks the key up again after the loop missed
+//!    it, so a request that queued behind its key's first computation
+//!    replays that computation's bytes instead of computing them again.
 //! 4. On a miss, concurrent identical requests collapse into a single
 //!    flight: one leader runs the pipeline (whose stages themselves
 //!    consult the store for profile/reduce/predict artifacts, and take
@@ -249,6 +255,58 @@ struct Profiled {
     sims: MicroCache,
 }
 
+/// The pipeline run that renders a response that is not stored.
+type Compute<'a> = Box<dyn FnOnce() -> Result<Response, PipelineError> + 'a>;
+
+/// A request to a cacheable endpoint with its parameters resolved: the
+/// key its response is stored under and its deadline, both derived from
+/// the request alone, and `prepare`, which loads what the computation
+/// reads (a snippet pack) and returns the computation, or the response
+/// to a load error. [`Service::answer_stored`] needs only the key;
+/// [`Service::handle`] prepares before it looks the key up, the order
+/// its errors have always come in.
+struct Cacheable<'a> {
+    key: String,
+    deadline: Option<Deadline>,
+    prepare: Box<dyn FnOnce() -> Result<Compute<'a>, Response> + 'a>,
+}
+
+impl<'a> Cacheable<'a> {
+    /// A request whose computation loads nothing.
+    fn ready(
+        key: String,
+        deadline: Option<Deadline>,
+        compute: impl FnOnce() -> Result<Response, PipelineError> + 'a,
+    ) -> Cacheable<'a> {
+        let compute: Compute<'a> = Box::new(compute);
+        Cacheable {
+            key,
+            deadline,
+            prepare: Box::new(move || Ok(compute)),
+        }
+    }
+}
+
+/// How a cacheable endpoint resolves a request's parameters.
+type Resolve = for<'s> fn(&'s Service, &Request) -> Result<Cacheable<'s>, Response>;
+
+/// The cacheable endpoint `req` names, if any: the series its latency
+/// records under and admission control reads, and its resolver.
+fn cacheable_endpoint(req: &Request) -> Option<(&'static str, Resolve)> {
+    let endpoint: (&'static str, Resolve) = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/predict") => ("predict", Service::resolve_predict),
+        ("GET", "/sweep") => ("sweep", Service::resolve_sweep),
+        ("POST", "/reduce") => ("reduce", Service::resolve_reduce),
+        _ => return None,
+    };
+    Some(endpoint)
+}
+
+/// The liveness probe's answer.
+fn health() -> Response {
+    Response::json(&Json::obj(vec![("ok", Json::Bool(true))]))
+}
+
 /// The system-selection service: store-first, single-flighted handlers
 /// over the Steps A–E pipeline. Request-agnostic and socket-free — the
 /// server loop in [`crate`] feeds it, and tests call
@@ -337,10 +395,10 @@ impl Service {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Always 0: the event loop hands every request to the executor as
-    /// its own job, so no requests are batched. Kept only because the
-    /// end-to-end benchmark reads it; remove it together with that
-    /// reader.
+    /// Always 0: the event loop answers each request itself or hands it
+    /// to the executor as its own job, so no requests are batched. Kept
+    /// only because the end-to-end benchmark reads it; remove it together
+    /// with that reader.
     pub fn batches(&self) -> u64 {
         0
     }
@@ -360,12 +418,7 @@ impl Service {
     /// exercises the in-flight deadline path.
     pub fn admission_check(&self, req: &Request, depth: u64) -> Option<Response> {
         let deadline_ms: u64 = req.param("deadline_ms")?.parse().ok()?;
-        let series = match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/predict") => "predict",
-            ("GET", "/sweep") => "sweep",
-            ("POST", "/reduce") => "reduce",
-            _ => return None,
-        };
+        let (series, _) = cacheable_endpoint(req)?;
         let ewma = self.metrics.ewma_micros(series);
         let predicted_us = depth as f64 * ewma;
         if predicted_us <= deadline_ms as f64 * 1000.0 {
@@ -379,14 +432,48 @@ impl Service {
         ))
     }
 
-    /// Handle one parsed request: assign the next request id, install it
-    /// as the thread's ambient trace context for the handler's whole
-    /// scope (the id's only carrier: pipeline stages record under it and
-    /// pool workers re-enter it), record endpoint latency, and stamp the
-    /// id onto the response (`x-fgbs-request-id`).
+    /// Answer `req` when that needs no computation: `GET /health`, or a
+    /// `/predict`, `/sweep` or `POST /reduce` whose response is stored.
+    /// The event loop calls this on its own thread before admission
+    /// control, and hands the request to [`Service::handle`] on the
+    /// executor when it returns `None`: on a store miss or read error, a
+    /// parameter error, or any other endpoint. A snippet pack's stored
+    /// response is found by the pack's id without loading the pack. An
+    /// answer gets its request id, gauge and latency sample as in
+    /// [`Service::handle`], but its latency stays out of the EWMA that
+    /// admission control prices a queued executor job with.
+    pub fn answer_stored(&self, req: &Request) -> Option<Response> {
+        self.scoped(Metrics::record_inline, || {
+            if (req.method.as_str(), req.path.as_str()) == ("GET", "/health") {
+                return Some(("health", health()));
+            }
+            let (series, Ok(cacheable)) = self.cacheable(req)? else {
+                return None;
+            };
+            Some((series, self.stored(&cacheable.key)?))
+        })
+    }
+
+    /// Handle one parsed request: the stored response when there is one
+    /// (what [`Service::answer_stored`] answers), else the computed one.
     pub fn handle(&self, req: &Request) -> Response {
+        self.scoped(Metrics::record, || Some(self.route(req)))
+            .expect("the router answers every request")
+    }
+
+    /// Run `answer` as one request: assign the next request id, install
+    /// it as the thread's ambient trace context for the whole scope (the
+    /// id's only carrier: pipeline stages record under it and pool
+    /// workers re-enter it) and count the request in the in-flight
+    /// gauge. When `answer` gives a response, `record` its latency under
+    /// its series and stamp the id onto it (`x-fgbs-request-id`).
+    fn scoped(
+        &self,
+        record: fn(&Metrics, &str, u64),
+        answer: impl FnOnce() -> Option<(&'static str, Response)>,
+    ) -> Option<Response> {
         // Decrement-on-drop so a panicking handler (unwound by the
-        // connection worker's firewall) cannot leak the gauge.
+        // event loop's firewall) cannot leak the gauge.
         struct InFlight<'a>(&'a AtomicU64);
         impl Drop for InFlight<'_> {
             fn drop(&mut self) {
@@ -398,22 +485,28 @@ impl Service {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         let _gauge = InFlight(&self.in_flight);
         let t0 = Instant::now();
-        let (name, resp) = self.route(req);
-        self.metrics.record(name, t0.elapsed().as_micros() as u64);
-        resp.with_request_id(rid)
+        let (series, resp) = answer()?;
+        record(&self.metrics, series, t0.elapsed().as_micros() as u64);
+        Some(resp.with_request_id(rid))
     }
 
     fn route(&self, req: &Request) -> (&'static str, Response) {
+        if let Some((series, resolved)) = self.cacheable(req) {
+            let resp = resolved.and_then(|c| {
+                let compute = (c.prepare)()?;
+                Ok(self
+                    .stored(&c.key)
+                    .unwrap_or_else(|| self.compute(&c.key, c.deadline, compute)))
+            });
+            return (series, resp.unwrap_or_else(|r| r));
+        }
         match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/predict") => ("predict", self.ep_predict(req).unwrap_or_else(|r| r)),
-            ("GET", "/sweep") => ("sweep", self.ep_sweep(req).unwrap_or_else(|r| r)),
-            ("POST", "/reduce") => ("reduce", self.ep_reduce(req).unwrap_or_else(|r| r)),
             ("POST", "/snippets") => ("snippets", self.ep_snippets(req)),
             ("GET", "/snippets") => ("snippets", self.ep_snippets_list()),
             ("GET", "/artifacts") => ("artifacts", self.ep_artifacts()),
             ("GET", "/metrics") => ("metrics", self.ep_metrics(req)),
             ("GET", "/trace") => ("trace", self.ep_trace()),
-            ("GET", "/health") => ("health", Response::json(&Json::obj(vec![("ok", Json::Bool(true))]))),
+            ("GET", "/health") => ("health", health()),
             (
                 _,
                 "/predict" | "/sweep" | "/reduce" | "/snippets" | "/artifacts" | "/metrics"
@@ -423,6 +516,24 @@ impl Service {
                 Response::error(405, "method not allowed for this endpoint"),
             ),
             _ => ("other", Response::error(404, "no such endpoint")),
+        }
+    }
+
+    /// A cacheable endpoint's request with its parameters resolved and
+    /// its response key derived, or the response to its parameter error;
+    /// with the series its latency records under. `None` for every other
+    /// endpoint.
+    fn cacheable(&self, req: &Request) -> Option<(&'static str, Result<Cacheable<'_>, Response>)> {
+        let (series, resolve) = cacheable_endpoint(req)?;
+        Some((series, resolve(self, req)))
+    }
+
+    /// The stored response under `key`. A miss or a read error is `None`:
+    /// the request is computed.
+    fn stored(&self, key: &str) -> Option<Response> {
+        match self.store.get(ArtifactKind::Response, key) {
+            Ok(Some(bytes)) => Some(Response::json_bytes(bytes).with_source("store")),
+            _ => None,
         }
     }
 
@@ -446,37 +557,28 @@ impl Service {
         h.finish_hex()
     }
 
-    /// Store-first, single-flighted response production (step 3–4 of the
-    /// request lifecycle in the module docs).
+    /// Single-flighted, persisted computation of a request whose response
+    /// is not stored (steps 4–5 of the request lifecycle in the module
+    /// docs).
     ///
     /// Deadline-carrying requests take a private computation instead of
     /// joining a flight: coalescing would hand one caller's `503` (or a
     /// slow leader's late success) to followers with different time
-    /// budgets. They still replay store hits and persist successes, so
-    /// only the unlucky first caller per key pays.
-    fn respond_cached(
-        &self,
-        key: &str,
-        deadline: Option<Deadline>,
-        compute: impl FnOnce() -> Response,
-    ) -> Response {
-        if let Ok(Some(bytes)) = self.store.get(ArtifactKind::Response, key) {
-            return Response::json_bytes(bytes).with_source("store");
-        }
+    /// budgets. They still persist successes, so only the unlucky first
+    /// caller per key pays.
+    fn compute(&self, key: &str, deadline: Option<Deadline>, compute: Compute<'_>) -> Response {
+        let run = || {
+            self.computations.fetch_add(1, Ordering::Relaxed);
+            let r = compute().unwrap_or_else(pipeline_error);
+            if r.status == 200 {
+                let _ = self.store.put(ArtifactKind::Response, key, &r.body);
+            }
+            r
+        };
         if deadline.is_some() {
-            let r = compute();
-            if r.status == 200 {
-                let _ = self.store.put(ArtifactKind::Response, key, &r.body);
-            }
-            return r.with_source("computed");
+            return run().with_source("computed");
         }
-        let (resp, led) = self.flight.run(key, || {
-            let r = compute();
-            if r.status == 200 {
-                let _ = self.store.put(ArtifactKind::Response, key, &r.body);
-            }
-            Arc::new(r)
-        });
+        let (resp, led) = self.flight.run(key, || Arc::new(run()));
         let r = (*resp).clone();
         r.with_source(if led { "computed" } else { "coalesced" })
     }
@@ -578,50 +680,59 @@ impl Service {
     /// `GET /predict`: Step E for a first-party suite or, with
     /// `?snippet=ID`, for an ingested snippet pack. A suite is resolved
     /// before the shared parameters and a pack is loaded after them, the
-    /// order each kind of request reports its errors in.
-    fn ep_predict(&self, req: &Request) -> Result<Response, Response> {
+    /// order each kind of request reports its errors in. The response key
+    /// names a pack by its content-addressed id, so deriving it loads
+    /// nothing: the pack is loaded when the request is prepared.
+    fn resolve_predict(&self, req: &Request) -> Result<Cacheable<'_>, Response> {
         match req.param("snippet") {
             None => {
                 let spec = resolve_suite(req)?;
-                self.predict(req, || Ok(Subject::Suite(spec)))
+                self.resolve_subject_predict(
+                    req,
+                    "predict",
+                    &[spec.kind, spec.class_name],
+                    move || Ok(Subject::Suite(spec)),
+                )
             }
-            Some(id) => self.predict(req, || {
-                let pack = load_pack(&self.store, id)
-                    .map_err(|e| Response::error(503, &e.to_string()))?
-                    .ok_or_else(|| Response::error(404, &format!("no snippet pack `{id}`")))?;
-                Ok(Subject::Pack {
-                    id: id.to_string(),
-                    pack,
+            Some(id) => {
+                let owned = id.to_string();
+                self.resolve_subject_predict(req, "predict-snippet", &[id], move || {
+                    let pack = load_pack(&self.store, &owned)
+                        .map_err(|e| Response::error(503, &e.to_string()))?
+                        .ok_or_else(|| {
+                            Response::error(404, &format!("no snippet pack `{owned}`"))
+                        })?;
+                    Ok(Subject::Pack { id: owned, pack })
                 })
-            }),
+            }
         }
     }
 
     /// The one `/predict` path for every subject: resolve target, K and
-    /// deadline, then answer from the store or run reduce → predict.
-    fn predict(
-        &self,
+    /// deadline, then key the response under `endpoint` and the
+    /// subject's `names`. Preparing loads the `subject`; a miss runs
+    /// reduce → predict.
+    fn resolve_subject_predict<'a>(
+        &'a self,
         req: &Request,
-        subject: impl FnOnce() -> Result<Subject, Response>,
-    ) -> Result<Response, Response> {
+        endpoint: &str,
+        names: &[&str],
+        subject: impl FnOnce() -> Result<Subject, Response> + 'a,
+    ) -> Result<Cacheable<'a>, Response> {
         let target = resolve_target(req)?;
         let (k, k_label) = resolve_k(req)?;
         let deadline = resolve_deadline(req)?;
-        let subject = subject()?;
-        let key = match &subject {
-            Subject::Suite(spec) => self.response_key(
-                "predict",
-                &[spec.kind, spec.class_name, &target.name, &k_label],
-            ),
-            Subject::Pack { id, .. } => {
-                self.response_key("predict-snippet", &[id, &target.name, &k_label])
-            }
-        };
-        Ok(self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            self.predict_body(&subject, &target, k, &k_label, deadline)
-                .unwrap_or_else(pipeline_error)
-        }))
+        let key = self.response_key(endpoint, &[names, &[&target.name, &k_label]].concat());
+        Ok(Cacheable {
+            key,
+            deadline,
+            prepare: Box::new(move || {
+                let subject = subject()?;
+                let compute: Compute<'a> =
+                    Box::new(move || self.predict_body(&subject, &target, k, &k_label, deadline));
+                Ok(compute)
+            }),
+        })
     }
 
     /// Steps C–E for one `/predict` miss, rendered as its body. A pack's
@@ -716,7 +827,7 @@ impl Service {
         Ok(Response::json(&Json::obj(fields)))
     }
 
-    fn ep_sweep(&self, req: &Request) -> Result<Response, Response> {
+    fn resolve_sweep(&self, req: &Request) -> Result<Cacheable<'_>, Response> {
         let spec = resolve_suite(req)?;
         let target = resolve_target(req)?;
         let kmin = parse_usize_param(req, "kmin", 1)?.max(1);
@@ -738,93 +849,105 @@ impl Service {
                 &kmax.to_string(),
             ],
         );
-        Ok(self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            let profiled = self.profiled(&Subject::Suite(spec));
-            let cfg = self.request_cfg(deadline);
-            let points = match try_sweep_k(&profiled.suite, &target, kmax, &profiled.sims, &cfg) {
-                Ok(p) => p,
-                Err(e) => return pipeline_error(e),
-            };
-            let points: Vec<Json> = points
-                .iter()
-                .filter(|p| p.k >= kmin)
-                .map(|p| {
-                    Json::obj(vec![
-                        ("k", Json::U64(p.k as u64)),
-                        ("representatives", Json::U64(p.representatives as u64)),
-                        ("median_error_pct", Json::Num(p.median_error_pct)),
-                        ("reduction_total", Json::Num(p.reduction_total)),
-                    ])
-                })
-                .collect();
-            Response::json(&Json::obj(vec![
-                ("suite", Json::str(spec.kind)),
-                ("class", Json::str(spec.class_name)),
-                ("target", Json::str(&target.name)),
-                ("kmin", Json::U64(kmin as u64)),
-                ("kmax", Json::U64(kmax as u64)),
-                ("points", Json::Arr(points)),
-            ]))
+        Ok(Cacheable::ready(key, deadline, move || {
+            self.sweep_body(spec, &target, kmin, kmax, deadline)
         }))
     }
 
-    fn ep_reduce(&self, req: &Request) -> Result<Response, Response> {
+    fn sweep_body(
+        &self,
+        spec: SuiteSpec,
+        target: &Arch,
+        kmin: usize,
+        kmax: usize,
+        deadline: Option<Deadline>,
+    ) -> Result<Response, PipelineError> {
+        let profiled = self.profiled(&Subject::Suite(spec));
+        let cfg = self.request_cfg(deadline);
+        let points = try_sweep_k(&profiled.suite, target, kmax, &profiled.sims, &cfg)?;
+        let points: Vec<Json> = points
+            .iter()
+            .filter(|p| p.k >= kmin)
+            .map(|p| {
+                Json::obj(vec![
+                    ("k", Json::U64(p.k as u64)),
+                    ("representatives", Json::U64(p.representatives as u64)),
+                    ("median_error_pct", Json::Num(p.median_error_pct)),
+                    ("reduction_total", Json::Num(p.reduction_total)),
+                ])
+            })
+            .collect();
+        Ok(Response::json(&Json::obj(vec![
+            ("suite", Json::str(spec.kind)),
+            ("class", Json::str(spec.class_name)),
+            ("target", Json::str(&target.name)),
+            ("kmin", Json::U64(kmin as u64)),
+            ("kmax", Json::U64(kmax as u64)),
+            ("points", Json::Arr(points)),
+        ])))
+    }
+
+    fn resolve_reduce(&self, req: &Request) -> Result<Cacheable<'_>, Response> {
         let spec = resolve_suite(req)?;
         let (k, k_label) = resolve_k(req)?;
         let deadline = resolve_deadline(req)?;
         let key = self.response_key("reduce", &[spec.kind, spec.class_name, &k_label]);
-        Ok(self.respond_cached(&key, deadline, || {
-            self.computations.fetch_add(1, Ordering::Relaxed);
-            let profiled = self.profiled(&Subject::Suite(spec));
-            let (suite, sims) = (&profiled.suite, &profiled.sims);
-            let cfg = self.request_cfg(deadline).with_k(k);
-            let reduced = self.stage("stage.reduce", || try_reduce_cached(suite, &cfg, sims));
-            let reduced = match reduced {
-                Ok(r) => r,
-                Err(e) => return pipeline_error(e),
-            };
-            let clusters: Vec<Json> = reduced
-                .clusters
-                .iter()
-                .map(|c| {
-                    Json::obj(vec![
-                        (
-                            "representative",
-                            Json::str(&suite.codelets[c.representative].name),
-                        ),
-                        (
-                            "members",
-                            Json::Arr(
-                                c.members
-                                    .iter()
-                                    .map(|&m| Json::str(&suite.codelets[m].name))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect();
-            Response::json(&Json::obj(vec![
-                ("suite", Json::str(spec.kind)),
-                ("class", Json::str(spec.class_name)),
-                ("k", Json::str(&k_label)),
-                ("k_requested", Json::U64(reduced.k_requested as u64)),
-                ("codelets", Json::U64(suite.len() as u64)),
-                ("coverage", Json::Num(suite.coverage)),
-                (
-                    "ill_behaved",
-                    Json::Arr(
-                        reduced
-                            .ill_behaved
-                            .iter()
-                            .map(|&i| Json::str(&suite.codelets[i].name))
-                            .collect(),
-                    ),
-                ),
-                ("clusters", Json::Arr(clusters)),
-            ]))
+        Ok(Cacheable::ready(key, deadline, move || {
+            self.reduce_body(spec, k, &k_label, deadline)
         }))
+    }
+
+    fn reduce_body(
+        &self,
+        spec: SuiteSpec,
+        k: KChoice,
+        k_label: &str,
+        deadline: Option<Deadline>,
+    ) -> Result<Response, PipelineError> {
+        let profiled = self.profiled(&Subject::Suite(spec));
+        let (suite, sims) = (&profiled.suite, &profiled.sims);
+        let cfg = self.request_cfg(deadline).with_k(k);
+        let reduced = self.stage("stage.reduce", || try_reduce_cached(suite, &cfg, sims))?;
+        let clusters: Vec<Json> = reduced
+            .clusters
+            .iter()
+            .map(|c| {
+                Json::obj(vec![
+                    (
+                        "representative",
+                        Json::str(&suite.codelets[c.representative].name),
+                    ),
+                    (
+                        "members",
+                        Json::Arr(
+                            c.members
+                                .iter()
+                                .map(|&m| Json::str(&suite.codelets[m].name))
+                                .collect(),
+                        ),
+                    ),
+                ])
+            })
+            .collect();
+        Ok(Response::json(&Json::obj(vec![
+            ("suite", Json::str(spec.kind)),
+            ("class", Json::str(spec.class_name)),
+            ("k", Json::str(k_label)),
+            ("k_requested", Json::U64(reduced.k_requested as u64)),
+            ("codelets", Json::U64(suite.len() as u64)),
+            ("coverage", Json::Num(suite.coverage)),
+            (
+                "ill_behaved",
+                Json::Arr(
+                    reduced
+                        .ill_behaved
+                        .iter()
+                        .map(|&i| Json::str(&suite.codelets[i].name))
+                        .collect(),
+                ),
+            ),
+            ("clusters", Json::Arr(clusters)),
+        ])))
     }
 
     fn ep_artifacts(&self) -> Response {

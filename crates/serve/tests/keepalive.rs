@@ -206,6 +206,63 @@ fn predict_bodies_are_byte_identical_across_connection_reuse() {
     harness.assert_healthy();
 }
 
+/// The event loop answers stored responses and `/health` itself while
+/// the executor computes the rest; on one connection the replies still
+/// come back in request order.
+#[test]
+fn loop_and_executor_answers_stay_in_order_on_one_connection() {
+    let harness = Harness::start(ServeOptions::default(), "mixed");
+    let stored = "/predict?suite=nr&class=test&k=3&target=atom";
+    let mut stream = harness.connect();
+    pipeline(&mut stream, &[stored]);
+    let mut residue = Vec::new();
+    let first = read_response(&mut stream, &mut residue).expect("first computation");
+    assert_eq!(
+        first.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&first.body)
+    );
+
+    let targets = [
+        stored,
+        "/predict?suite=nr&class=test&k=4&target=atom",
+        "/health",
+        "/nope",
+        stored,
+    ];
+    pipeline(&mut stream, &targets);
+    let mut replies = Vec::new();
+    for i in 0..targets.len() {
+        let reply = read_response(&mut stream, &mut residue)
+            .unwrap_or_else(|e| panic!("response {i} of {}: {e}", targets.len()));
+        assert!(!reply.close, "keep-alive should survive response {i}");
+        replies.push(reply);
+    }
+    let statuses: Vec<u16> = replies.iter().map(|r| r.status).collect();
+    assert_eq!(
+        statuses,
+        [200, 200, 200, 404, 200],
+        "responses out of order"
+    );
+    let ids: Vec<u64> = replies
+        .iter()
+        .map(|r| r.request_id.expect("service responses carry an id"))
+        .collect();
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "request ids must increase in request order: {ids:?}"
+    );
+    for i in [0, 4] {
+        assert_eq!(
+            replies[i].body, first.body,
+            "stored reply {i} diverged from the first computation"
+        );
+    }
+    assert_ne!(replies[1].body, first.body, "k=4 is its own computation");
+    harness.assert_healthy();
+}
+
 #[test]
 fn client_that_stops_reading_is_poisoned_not_waited_on() {
     // Tiny server-side send buffer + short write deadline: the response

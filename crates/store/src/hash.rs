@@ -44,10 +44,17 @@ impl StableHasher {
         }
     }
 
-    /// Absorb raw bytes.
+    /// Absorb raw bytes. Both streams advance in one loop: each is a
+    /// chain of dependent multiplies, and interleaving them lets the CPU
+    /// overlap the two chains.
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
-        self.lo = fnv64_step(self.lo, bytes);
-        self.hi = fnv64_step(self.hi, bytes);
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        for &b in bytes {
+            lo = (lo ^ b as u64).wrapping_mul(FNV64_PRIME);
+            hi = (hi ^ b as u64).wrapping_mul(FNV64_PRIME);
+        }
+        self.lo = lo;
+        self.hi = hi;
         self
     }
 
@@ -134,6 +141,50 @@ mod tests {
         let mut c = StableHasher::new();
         c.field_u64(1).field_f64(2.0).field_debug(&vec![4u8]);
         assert_ne!(a.finish_hex(), c.finish_hex());
+    }
+
+    /// The digest of `fields` as `update` computed it before the two
+    /// streams were interleaved: the `lo` stream over each chunk, then
+    /// the `hi` stream.
+    fn two_pass_digest(fields: &[&[u8]]) -> String {
+        let (mut lo, mut hi) = (FNV64_OFFSET, FNV64_OFFSET_B);
+        for f in fields {
+            for chunk in [&(f.len() as u64).to_le_bytes()[..], f] {
+                lo = fnv64_step(lo, chunk);
+                hi = fnv64_step(hi, chunk);
+            }
+        }
+        format!("{hi:016x}{lo:016x}")
+    }
+
+    #[test]
+    fn one_pass_update_matches_the_two_pass_formula() {
+        // xorshift64: deterministic bytes and split points.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in 0..=4096usize {
+            let bytes: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let mut cuts: Vec<usize> = (0..next() % 5)
+                .map(|_| next() as usize % (len + 1))
+                .collect();
+            cuts.sort_unstable();
+            let mut fields = Vec::new();
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                fields.push(&bytes[start..cut]);
+                start = cut;
+            }
+            assert_eq!(
+                hash_fields(&fields),
+                two_pass_digest(&fields),
+                "length {len}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! 4. **Observability.** Retry / quarantine / deadline counters show up
 //!    in `/metrics` so operators can see the layer working.
 //! 5. **Isolation.** A slow request never holds up a fast one that the
-//!    event loop read in the same turn.
+//!    event loop read in the same turn, and a stored response or
+//!    `/health` never waits for a computation: the event loop answers
+//!    them itself, even while every executor worker is busy.
 //!
 //! The failpoint registry is process-global, so every test takes
 //! `fault_guard()` and clears the registry before and after its run.
@@ -260,9 +262,9 @@ fn disarmed_failpoints_are_inert() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Each request is its own executor job: a `/health` read in the same
-/// reactor turn as a cold `/predict` is answered at once, not after the
-/// miss finishes.
+/// Each request is its own executor job: a `/metrics` read in the same
+/// reactor turn as a cold `/predict` runs on the second worker and is
+/// answered at once, not after the miss finishes.
 #[test]
 fn a_request_never_waits_for_another_read_in_the_same_turn() {
     let _g = fault_guard();
@@ -293,23 +295,93 @@ fn a_request_never_waits_for_another_read_in_the_same_turn() {
 
     let t0 = Instant::now();
     let miss = send("/predict?suite=nr&class=test&target=atom&k=3");
-    let health = send("/health");
-    let health = reply(health);
-    let health_after = t0.elapsed();
+    // The event loop never answers `/metrics` itself: it is a job.
+    let metrics = send("/metrics");
+    let metrics = reply(metrics);
+    let metrics_after = t0.elapsed();
     let miss = reply(miss);
     let miss_after = t0.elapsed();
     server.shutdown();
     fault::clear();
 
-    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
     assert!(miss.starts_with("HTTP/1.1 200"), "{miss}");
     assert!(
         miss_after >= Duration::from_millis(400),
         "the reduce delay fired: the miss took {miss_after:?}"
     );
     assert!(
+        metrics_after < Duration::from_millis(400),
+        "/metrics took {metrics_after:?}: it waited for the cold /predict"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The event loop answers a stored response and `/health` itself: with
+/// the only executor worker held by a cold `/predict`, both still answer
+/// long before that computation ends.
+#[test]
+fn a_stored_response_never_waits_for_a_computation() {
+    let _g = fault_guard();
+    let dir = scratch("stored");
+    let (_, service) = service_over(&dir);
+    let server = Server::start("127.0.0.1:0", 1, service).expect("start server");
+    let send = |target: &str| {
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        write!(
+            stream,
+            "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .expect("send request");
+        stream
+    };
+    let reply = |mut stream: TcpStream| {
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("read reply");
+        raw
+    };
+    let stored = "/predict?suite=nr&class=test&target=atom&k=3";
+    let first = reply(send(stored));
+    assert!(first.starts_with("HTTP/1.1 200"), "{first}");
+
+    fault::install(FaultPlan::parse("stage.reduce=delay:1.0:400", 13).expect("valid spec"));
+    let injected = fault::injected();
+    let t0 = Instant::now();
+    let cold = send("/predict?suite=nr&class=test&target=atom&k=4");
+    // The delay fires when the cold request's reduce stage starts: from
+    // then on it holds the only worker for 400 ms.
+    while fault::injected() == injected {
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "the reduce delay never fired"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (hit, health) = (send(stored), send("/health"));
+    let hit = reply(hit);
+    let hit_after = t0.elapsed();
+    let health = reply(health);
+    let health_after = t0.elapsed();
+    let cold = reply(cold);
+    let cold_after = t0.elapsed();
+    server.shutdown();
+    fault::clear();
+
+    assert!(hit.starts_with("HTTP/1.1 200"), "{hit}");
+    assert!(hit.contains("x-fgbs-source: store\r\n"), "{hit}");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+    assert!(cold.starts_with("HTTP/1.1 200"), "{cold}");
+    assert!(
+        cold_after >= Duration::from_millis(400),
+        "the reduce delay fired: the cold request took {cold_after:?}"
+    );
+    assert!(
+        hit_after < Duration::from_millis(400),
+        "the stored /predict took {hit_after:?}: it waited for the computation"
+    );
+    assert!(
         health_after < Duration::from_millis(400),
-        "/health took {health_after:?}: it waited for the cold /predict"
+        "/health took {health_after:?}: it waited for the computation"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -62,7 +62,7 @@ fn get(path: &str, query: &[(&str, &str)]) -> Request {
 #[test]
 fn clean_pack_ingests_lists_and_predicts_deterministically() {
     let dir = scratch("clean");
-    let (_store, service) = service(&dir);
+    let (store, service) = service(&dir);
     let bytes = bigdata_pack_bytes();
     let expected_id = verify_pack(&bytes).unwrap().id;
 
@@ -88,6 +88,27 @@ fn clean_pack_ingests_lists_and_predicts_deterministically() {
     assert_eq!(warm.source, Some("store"), "second call replays the store");
     assert_eq!(warm.body, cold.body, "byte-identical replayed response");
     assert_eq!(service.computations(), 1);
+
+    // The event loop's path finds the stored response by the pack's id
+    // alone: one store read, and the pack is not loaded. Its latency
+    // counts in the series but stays out of the admission EWMA.
+    let hits = store.counters().hits;
+    let (count, ewma) = (
+        service.metrics().count("predict"),
+        service.metrics().ewma_micros("predict"),
+    );
+    let inline = service
+        .answer_stored(&get("/predict", &q))
+        .expect("a stored pack response answers without computing");
+    assert_eq!(inline.source, Some("store"));
+    assert_eq!(inline.body, cold.body, "byte-identical replayed response");
+    assert_eq!(
+        store.counters().hits,
+        hits + 1,
+        "only the response was read"
+    );
+    assert_eq!(service.metrics().count("predict"), count + 1);
+    assert_eq!(service.metrics().ewma_micros("predict"), ewma);
 
     let _ = fs::remove_dir_all(&dir);
 }
@@ -209,7 +230,9 @@ fn snippet_endpoint_edge_cases() {
     let dir = scratch("edges");
     let (_store, service) = service(&dir);
 
-    let resp = service.handle(&get("/predict", &[("snippet", "feedfeed")]));
+    let unknown = get("/predict", &[("snippet", "feedfeed")]);
+    assert!(service.answer_stored(&unknown).is_none(), "nothing is stored");
+    let resp = service.handle(&unknown);
     assert_eq!(resp.status, 404);
 
     let resp = service.handle(&post_snippets(Vec::new()));

@@ -7,13 +7,19 @@
 //! full pipeline (profile → reduce → predict → sweep → GA feature
 //! selection) at 1 and at 8 threads and compares canonical digests.
 //!
+//! It also checks that concurrent first calls of `MicroCache::measure`
+//! measure each key once, by the `micro.measured` stat.
+//!
 //! All assertions live in one `#[test]` because the collector is
 //! process-global: concurrent tests would interleave their spans.
+
+use std::sync::Barrier;
 
 use fgbs::core::{
     predict_with_runs, profile_reference, profile_target, reduce_cached, select_features_ga,
     sweep_k, KChoice, MicroCache, PipelineConfig,
 };
+use fgbs::extract::Microbenchmark;
 use fgbs::genetic::GaConfig;
 use fgbs::machine::{Arch, PARK_SCALE};
 use fgbs::suites::{nr_suite, Class};
@@ -131,4 +137,45 @@ fn trace_content_is_identical_across_thread_counts() {
     let table = summary.render();
     assert!(table.contains("stage.reduce"));
     assert!(table.contains("cluster.pairs"));
+
+    // 6. Concurrent first calls measure each microbenchmark once: two
+    //    threads released together measure the same keys of a fresh
+    //    cache in the same order, one codelet of each of the first 10
+    //    applications on Atom.
+    let cfg = PipelineConfig::fast();
+    let micros: Vec<Microbenchmark> = nr_suite(Class::Test)
+        .iter()
+        .take(10)
+        .map(|app| Microbenchmark::extract(app, 0).expect("codelet 0 outlines"))
+        .collect();
+    let atom = Arch::atom().scaled(PARK_SCALE);
+    let cache = MicroCache::new();
+    let barrier = Barrier::new(2);
+    trace::set_enabled(true);
+    let _ = trace::drain();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                barrier.wait();
+                for (i, micro) in micros.iter().enumerate() {
+                    cache.measure(
+                        i,
+                        micro,
+                        &atom,
+                        cfg.noise_seed,
+                        cfg.micro_min_seconds,
+                        cfg.micro_min_invocations,
+                    );
+                }
+            });
+        }
+    });
+    trace::set_enabled(false);
+    let stats = trace::drain().stats;
+    let measured = stats
+        .iter()
+        .find(|(name, _)| name == "micro.measured")
+        .map_or(0, |(_, n)| *n);
+    assert_eq!(measured, micros.len() as u64, "one measurement per key");
+    assert_eq!(cache.len(), micros.len());
 }
