@@ -2,16 +2,19 @@
 //!
 //! Selects entries (substring `--filter`, `--quick` skips `full_only`
 //! ones), executes each workload, and assembles one [`Record`] plus the
-//! outcomes of every in-run perf gate. Each executed benchmark is
-//! wrapped in a `bench.case` span carrying only deterministic arguments
-//! (id, sample count), so a `--trace`d bench run keeps the repo's
-//! thread-invariant digest contract.
+//! outcomes of every in-run perf gate. A ratio gate's rows — its `vs`
+//! row and every row gated against it — take their samples interleaved
+//! ([`interleave`]), so the gate compares rows measured over the same
+//! stretch of host time. Each executed benchmark gets one `bench.case`
+//! span carrying only deterministic arguments (id, sample count), so a
+//! `--trace`d bench run keeps the repo's thread-invariant digest
+//! contract.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use super::record::{BenchResult, EnvFingerprint, Record, RECORD_SCHEMA};
 use super::registry::{BenchDef, Registry};
-use super::workloads;
+use super::workloads::{self, Sampler};
 
 /// Run-time options for [`run_registry`].
 #[derive(Debug, Clone, Default)]
@@ -73,17 +76,38 @@ pub fn run_registry(reg: &Registry, opts: &RunOptions) -> Result<RunOutput, Stri
         });
     }
 
-    let mut benchmarks = Vec::with_capacity(selected.len());
-    for def in &selected {
-        let samples_wanted = def.samples(opts.quick);
-        let mut span = fgbs_trace::span("bench.case");
-        span.arg_str("id", def.id.clone());
-        span.arg_u64("samples", samples_wanted as u64);
-        fgbs_trace::counter("bench.cases", 1);
-        let samples = workloads::measure(def, samples_wanted, effective_threads)?;
-        drop(span);
-        benchmarks.push(BenchResult::from_samples(def.id.clone(), def.batch, samples));
+    // One group per `vs` row of a selected gate, holding the rows gated
+    // against it; every other row is a group of its own. A group is
+    // measured when the runner reaches its first row.
+    fn group<'a>(def: &'a BenchDef, selected: &[&BenchDef]) -> &'a str {
+        match &def.gate {
+            Some(g) if selected.iter().any(|d| d.id == g.vs) => &g.vs,
+            _ => &def.id,
+        }
     }
+    let mut samples: Vec<Option<Vec<f64>>> = vec![None; selected.len()];
+    for first in 0..selected.len() {
+        if samples[first].is_some() {
+            continue;
+        }
+        let key = group(selected[first], &selected);
+        let members: Vec<usize> = (first..selected.len())
+            .filter(|&i| group(selected[i], &selected) == key)
+            .collect();
+        let rows: Vec<&BenchDef> = members.iter().map(|&i| selected[i]).collect();
+        let measured = measure_group(&rows, opts.quick, effective_threads)?;
+        for (i, row) in members.into_iter().zip(measured) {
+            samples[i] = Some(row);
+        }
+    }
+    let benchmarks = selected
+        .iter()
+        .zip(samples)
+        .map(|(def, s)| {
+            let s = s.expect("every selected row belongs to a measured group");
+            BenchResult::from_samples(def.id.clone(), def.batch, s)
+        })
+        .collect();
 
     let record = Record {
         schema: RECORD_SCHEMA,
@@ -97,6 +121,46 @@ pub fn run_registry(reg: &Registry, opts: &RunOptions) -> Result<RunOutput, Stri
     };
     let gates = check_gates(&selected, &record);
     Ok(RunOutput { record, gates })
+}
+
+/// The order a group of rows takes its samples in, `wanted[row]` of
+/// each: one sample of every row still short per turn, round-robin.
+pub(crate) fn interleave(wanted: &[usize]) -> Vec<usize> {
+    let turns = wanted.iter().copied().max().unwrap_or(0);
+    (0..turns)
+        .flat_map(|turn| (0..wanted.len()).filter(move |&row| turn < wanted[row]))
+        .collect()
+}
+
+/// Take `rows`' samples in [`interleave`] order. A row's `bench.case`
+/// span covers its setup and first sample; its later samples graft
+/// their spans under it, as a pool worker's spans graft under the span
+/// that submitted its work.
+fn measure_group(rows: &[&BenchDef], quick: bool, threads: usize) -> Result<Vec<Vec<f64>>, String> {
+    let wanted: Vec<usize> = rows.iter().map(|def| def.samples(quick)).collect();
+    let mut out: Vec<Vec<f64>> = wanted.iter().map(|&n| Vec::with_capacity(n)).collect();
+    let mut started: Vec<Option<(Sampler, Option<u64>)>> = rows.iter().map(|_| None).collect();
+    for row in interleave(&wanted) {
+        let sample = match &mut started[row] {
+            Some((sampler, case)) => {
+                let _parent = fgbs_trace::inherit_parent(*case);
+                sampler()?
+            }
+            None => {
+                let def = rows[row];
+                let mut span = fgbs_trace::span("bench.case");
+                span.arg_str("id", def.id.clone());
+                span.arg_u64("samples", wanted[row] as u64);
+                fgbs_trace::counter("bench.cases", 1);
+                let mut sampler = workloads::prepare(def, threads)?;
+                let first = sampler()?;
+                started[row] = Some((sampler, fgbs_trace::current_span_id()));
+                first
+            }
+        };
+        out[row].push(sample);
+    }
+    Ok(out)
 }
 
 /// Evaluate the absolute (`max_ns`) and ratio (`gate`) bounds of every
@@ -309,6 +373,72 @@ mod tests {
         .unwrap();
         let gate = filtered.gates.iter().find(|g| g.id == "slow/only/n1/t1").unwrap();
         assert!(gate.skipped && gate.pass);
+    }
+
+    #[test]
+    fn interleave_alternates_rows_one_sample_per_turn() {
+        assert_eq!(interleave(&[3, 3]), [0, 1, 0, 1, 0, 1]);
+        assert_eq!(interleave(&[2, 3, 3]), [0, 1, 2, 0, 1, 2, 1, 2]);
+        assert_eq!(
+            interleave(&[9, 5]),
+            [0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0]
+        );
+        assert_eq!(interleave(&[4]), [0, 0, 0, 0]);
+        assert!(interleave(&[]).is_empty());
+        // No row waits more than one turn while another samples.
+        let order = interleave(&[5, 5, 5]);
+        for w in order.windows(2) {
+            assert_ne!(w[0], w[1], "{order:?}");
+        }
+    }
+
+    #[test]
+    fn a_gate_and_its_vs_row_are_measured_together_in_registry_order() {
+        // The gated row is listed first and its `vs` row after an
+        // unrelated row: the pair is still measured as one group, with
+        // each row's own sample count, and the record keeps registry
+        // order.
+        let reg = Registry::parse(
+            r#"{"schema":1,"benchmarks":[
+                {"id":"fault/probe/n1/t1","suite":"fault","stage":"fault_probe",
+                 "size":1,"threads":1,"iters":3,"quick_iters":3,"batch":64,
+                 "gate":{"vs":"calibration/spin/n64/t1","max_ratio":1000000.0}},
+                {"id":"obs/hist_record/n1/t1","suite":"obs","stage":"obs_hist_record",
+                 "size":1,"threads":1,"iters":2,"quick_iters":2,"batch":64},
+                {"id":"calibration/spin/n64/t1","suite":"calibration","stage":"calibrate",
+                 "size":64,"threads":1,"iters":4,"quick_iters":4,"batch":4}
+            ]}"#,
+        )
+        .unwrap();
+        let out = run_registry(
+            &reg,
+            &RunOptions {
+                quick: true,
+                filter: None,
+                threads: 1,
+            },
+        )
+        .unwrap();
+        let rows: Vec<(&str, u64)> = out
+            .record
+            .benchmarks
+            .iter()
+            .map(|b| (b.id.as_str(), b.iters))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("fault/probe/n1/t1", 3),
+                ("obs/hist_record/n1/t1", 2),
+                ("calibration/spin/n64/t1", 4)
+            ]
+        );
+        let gate = out
+            .gates
+            .iter()
+            .find(|g| g.id == "fault/probe/n1/t1")
+            .unwrap();
+        assert!(!gate.skipped && gate.pass, "{gate:?}");
     }
 
     #[test]

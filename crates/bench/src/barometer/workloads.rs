@@ -5,14 +5,16 @@
 //! A new benchmark is one `registry.json` line, plus one function and
 //! one table entry here when it needs a new stage.
 //!
-//! Every stage builds its inputs *outside* the timed region, runs one
-//! untimed warm-up operation, then records `samples` wall-clock samples
-//! of `batch` operations each on the calibrated trace clock
-//! (`fgbs_trace::now_ns` — the same time source the spans use). Sample
-//! values are per-op nanoseconds.
+//! Every stage builds its inputs *outside* the timed region and returns
+//! a [`Sampler`]. Its first call runs one untimed warm-up operation, and
+//! each call records one wall-clock sample of `batch` operations on the
+//! calibrated trace clock (`fgbs_trace::now_ns` — the same time source
+//! the spans use). Sample values are per-op nanoseconds. The runner
+//! takes a row's samples one call at a time, so it can interleave the
+//! rows of a ratio gate.
 //!
 //! Stages that need the trace collector enabled (`trace_span`,
-//! `pipeline_reduce_traced`) enable it for their duration and restore
+//! `pipeline_reduce_traced`) enable it around each sample and restore
 //! the previous state — when a `--trace` run already has the collector
 //! on, they leave it on and keep their (deterministic) spans in the
 //! trace, so the bench runner honours the thread-invariant digest
@@ -23,7 +25,7 @@ use std::hint::black_box;
 use fgbs_clustering::{linkage, medoid, normalize, DistanceMatrix, Linkage, MaskedDistanceCache};
 use fgbs_clustering::naive_linkage;
 use fgbs_core::{profile_reference, reduce_cached, select_features_ga, KChoice, MicroCache, PipelineConfig};
-use fgbs_extract::Application;
+use fgbs_extract::{run_application, Application};
 use fgbs_genetic::GaConfig;
 use fgbs_isa::{compile, Binding, BindingBuilder, Codelet, CodeletBuilder, CompileMode, Precision};
 use fgbs_machine::{Arch, CacheSim, Machine, PARK_SCALE};
@@ -32,7 +34,7 @@ use fgbs_pool::WorkPool;
 use fgbs_serve::{loadgen, Server, Service};
 use fgbs_snippet::{build_pack, encode_pack, parse_pack, replay_pack, snippet_digest, verify_pack};
 use fgbs_store::{ArtifactKind, Store};
-use fgbs_suites::{bigdata_suite, nr_suite, Class};
+use fgbs_suites::{bigdata_suite, nas_suite, nr_suite, Class};
 
 use super::registry::BenchDef;
 
@@ -75,10 +77,44 @@ fn time_batch(batch: u64, op: &mut impl FnMut(u64)) -> f64 {
     dt as f64 / batch as f64
 }
 
-/// One warm-up op, then `samples` timed batches.
-fn run_samples(batch: u64, samples: usize, mut op: impl FnMut(u64)) -> Vec<f64> {
-    op(0);
-    (0..samples).map(|_| time_batch(batch, &mut op)).collect()
+/// One sample per call: a timed batch of `op`s, after one untimed
+/// warm-up op on the first call.
+fn sampler(batch: u64, mut op: impl FnMut(u64) + 'static) -> Sampler {
+    let mut warm = false;
+    Box::new(move || {
+        if !warm {
+            op(0);
+            warm = true;
+        }
+        Ok(time_batch(batch, &mut op))
+    })
+}
+
+/// `inner`, with the trace collector enabled around each sample.
+fn traced(mut inner: Sampler) -> Sampler {
+    Box::new(move || with_trace_enabled(&mut inner))
+}
+
+/// `inner`, with the flight recorder armed (`on`) or disarmed around
+/// each sample.
+fn flightrec(on: bool, mut inner: Sampler) -> Sampler {
+    Box::new(move || with_flightrec_armed(on, &mut inner))
+}
+
+/// A per-process scratch directory for store benchmarks, removed with
+/// everything in it when dropped.
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> ScratchDir {
+        ScratchDir(std::env::temp_dir().join(format!("fgbs-bench-{}-{tag}", std::process::id())))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Enable the trace collector for a closure, restoring the previous
@@ -113,10 +149,14 @@ fn with_flightrec_armed<T>(on: bool, f: impl FnOnce() -> T) -> T {
 /// Per-op nanosecond samples, or why the workload could not run.
 pub type Samples = Result<Vec<f64>, String>;
 
-/// A stage's measurement: `samples` samples of `def`'s workload on
-/// `threads` workers (`threads: 0` entries already resolved to the
-/// runner's `--threads`).
-pub(crate) type Workload = fn(def: &BenchDef, samples: usize, threads: usize) -> Samples;
+/// One row's measurement in progress: each call takes one sample, in
+/// per-op nanoseconds, or says why it could not.
+pub(crate) type Sampler = Box<dyn FnMut() -> Result<f64, String>>;
+
+/// A stage's setup: the inputs of `def`'s workload on `threads` workers
+/// (`threads: 0` entries already resolved to the runner's `--threads`),
+/// built into the sampler that times it, or why it could not be built.
+pub(crate) type Workload = fn(def: &BenchDef, threads: usize) -> Result<Sampler, String>;
 
 /// Every stage a registry entry may name, with the workload behind it.
 pub(crate) const WORKLOADS: &[(&str, Workload)] = &[
@@ -148,6 +188,7 @@ pub(crate) const WORKLOADS: &[(&str, Workload)] = &[
     ("machine_run_stencil", machine_run_stencil),
     ("machine_run_gather", machine_run_gather),
     ("machine_cache_access", machine_cache_access),
+    ("extract_run_application", extract_run_application),
 ];
 
 /// The workload registered for `stage`.
@@ -158,23 +199,30 @@ pub(crate) fn workload(stage: &str) -> Option<Workload> {
         .map(|&(_, run)| run)
 }
 
-/// Execute `def`'s workload and return `samples` per-op nanosecond
-/// samples. `effective_threads` substitutes for `threads: 0` entries.
-pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Samples {
-    let run = workload(&def.stage)
+/// Build `def`'s workload into its sampler. `effective_threads`
+/// substitutes for `threads: 0` entries.
+pub(crate) fn prepare(def: &BenchDef, effective_threads: usize) -> Result<Sampler, String> {
+    let setup = workload(&def.stage)
         .ok_or_else(|| format!("`{}`: unknown stage `{}`", def.id, def.stage))?;
     let threads = if def.threads == 0 {
         effective_threads
     } else {
         def.threads
     };
-    run(def, samples, threads)
+    setup(def, threads)
+}
+
+/// Execute `def`'s workload and return `samples` per-op nanosecond
+/// samples. `effective_threads` substitutes for `threads: 0` entries.
+pub fn measure(def: &BenchDef, samples: usize, effective_threads: usize) -> Samples {
+    let mut sample = prepare(def, effective_threads)?;
+    (0..samples).map(|_| sample()).collect()
 }
 
 /// Fixed splitmix spin: the machine-speed calibration anchor.
-fn calibrate(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn calibrate(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let n = def.size as u64;
-    Ok(run_samples(def.batch, samples, |i| {
+    Ok(sampler(def.batch, move |i| {
         let mut acc = 0x243F_6A88_85A3_08D3u64 ^ i;
         for k in 0..n {
             acc = acc.wrapping_add(splitmix(acc ^ k));
@@ -184,36 +232,36 @@ fn calibrate(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
 }
 
 /// Pairwise Euclidean distance construction over `size` codelets.
-fn distance(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn distance(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let data = observations(def.size, 14);
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(DistanceMatrix::euclidean(&data));
     }))
 }
 
 /// O(n²) NN-chain Ward linkage over a prebuilt distance matrix.
-fn linkage_nnchain(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn linkage_nnchain(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let d = DistanceMatrix::euclidean(&observations(def.size, 14));
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(linkage(&d, Linkage::Ward));
     }))
 }
 
 /// O(n³) naive closest-pair scan (the oracle the chain replaced).
-fn linkage_naive(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn linkage_naive(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let d = DistanceMatrix::euclidean(&observations(def.size, 14));
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(naive_linkage(&d, Linkage::Ward));
     }))
 }
 
 /// Medoid selection over an 8-way cut of the dendrogram.
-fn medoids(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn medoids(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let data = observations(def.size, 14);
     let dend = linkage(&DistanceMatrix::euclidean(&data), Linkage::Ward);
     let k = 8.min(def.size);
     let part = dend.cut(k);
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         for c in 0..k {
             black_box(medoid(&data, &part, c, &[]));
         }
@@ -221,16 +269,16 @@ fn medoids(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
 }
 
 /// GA fitness, cold: masked distances from scratch (64 of 76 bits).
-fn ga_masked_cold(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn ga_masked_cold(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let z = observations(def.size, 76);
     let all: Vec<usize> = (0..64).collect();
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(MaskedDistanceCache::new(z.clone()).distances(&all));
     }))
 }
 
 /// GA fitness, incremental: patch 2 flipped feature bits.
-fn ga_masked_patch(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn ga_masked_patch(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let z = observations(def.size, 76);
     let all: Vec<usize> = (0..64).collect();
     let mut flipped = all.clone();
@@ -239,7 +287,7 @@ fn ga_masked_patch(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
     let mut cache = MaskedDistanceCache::new(z);
     let _ = cache.distances(&all);
     let mut turn = false;
-    Ok(run_samples(def.batch, samples, move |_| {
+    Ok(sampler(def.batch, move |_| {
         // Alternate two masks two bits apart: every op patches.
         turn = !turn;
         black_box(cache.distances(if turn { &flipped } else { &all }));
@@ -247,7 +295,7 @@ fn ga_masked_patch(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
 }
 
 /// Full GA feature selection on `size` Test-class NR codes.
-fn ga_select(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn ga_select(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
     let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
     let cfg = PipelineConfig::fast().with_threads(threads);
     let suite = profile_reference(&apps, &cfg);
@@ -257,33 +305,32 @@ fn ga_select(def: &BenchDef, samples: usize, threads: usize) -> Samples {
         generations: 4,
         ..GaConfig::default()
     };
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(select_features_ga(&suite, &targets, &ga, &cfg));
     }))
 }
 
 /// Artifact store publish: one fsynced put of a `size`-byte payload.
-fn store_publish(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
-    let root = bench_dir("publish");
-    let store = Store::open(&root).map_err(|e| format!("bench store: {e}"))?;
+fn store_publish(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
+    let dir = ScratchDir::new("publish");
+    let store = Store::open(&dir.0).map_err(|e| format!("bench store: {e}"))?;
     let payload = vec![0xA5u8; def.size];
     let mut next_key = 0u64;
-    let out = run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
+        let _ = &dir; // the directory lives as long as the sampler
         // A fresh key every op: each publish frames, checksums and
         // fsyncs a new object — no dedup short-circuit.
         next_key += 1;
         store
             .put(ArtifactKind::Response, &format!("bench-{next_key}"), &payload)
             .expect("bench store put");
-    });
-    let _ = std::fs::remove_dir_all(&root);
-    Ok(out)
+    }))
 }
 
 /// Artifact store replay: one get of a stored `size`-byte payload.
-fn store_replay(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
-    let root = bench_dir("replay");
-    let store = Store::open(&root).map_err(|e| format!("bench store: {e}"))?;
+fn store_replay(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
+    let dir = ScratchDir::new("replay");
+    let store = Store::open(&dir.0).map_err(|e| format!("bench store: {e}"))?;
     let payload = vec![0x5Au8; def.size];
     let keys: Vec<String> = (0..16).map(|i| format!("bench-{i}")).collect();
     for k in &keys {
@@ -291,102 +338,97 @@ fn store_replay(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
             .put(ArtifactKind::Response, k, &payload)
             .map_err(|e| format!("bench store seed: {e}"))?;
     }
-    let out = run_samples(def.batch, samples, |i| {
+    Ok(sampler(def.batch, move |i| {
+        let _ = &dir; // the directory lives as long as the sampler
         let got = store
             .get(ArtifactKind::Response, &keys[(i % 16) as usize])
             .expect("bench store get");
         black_box(got);
-    });
-    let _ = std::fs::remove_dir_all(&root);
-    Ok(out)
+    }))
 }
 
 /// One enabled trace span with a u64 argument.
-fn trace_span(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
-    // A bounded buffer keeps the span loops from accumulating memory;
-    // eviction cost is part of the honest price. Under `--trace` the
-    // collector is already on — leave its capacity (and the user's
-    // spans) alone.
-    let was_on = fgbs_trace::enabled();
-    if !was_on {
-        fgbs_trace::set_capacity(8192);
-    }
-    let out = with_trace_enabled(|| {
-        run_samples(def.batch, samples, |i| {
-            let mut s = fgbs_trace::span("bench.span");
-            s.arg_u64("i", i);
-        })
-    });
-    if !was_on {
-        fgbs_trace::set_capacity(0);
-    }
-    Ok(out)
+fn trace_span(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
+    let mut inner = traced(sampler(def.batch, |i| {
+        let mut s = fgbs_trace::span("bench.span");
+        s.arg_u64("i", i);
+    }));
+    Ok(Box::new(move || {
+        // A bounded buffer keeps the span loops from accumulating
+        // memory; eviction cost is part of the honest price. Under
+        // `--trace` the collector is already on — leave its capacity
+        // (and the user's spans) alone.
+        let was_on = fgbs_trace::enabled();
+        if !was_on {
+            fgbs_trace::set_capacity(8192);
+        }
+        let ns = inner();
+        if !was_on {
+            fgbs_trace::set_capacity(0);
+        }
+        ns
+    }))
 }
 
 /// One disarmed failpoint probe (a single relaxed atomic load).
-fn fault_probe(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
-    Ok(run_samples(def.batch, samples, |_| {
+fn fault_probe(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
+    Ok(sampler(def.batch, |_| {
         black_box(fgbs_fault::maybe_io("bench.probe")).ok();
     }))
 }
 
-/// One op of the full profile+reduce pipeline on `size` Test-class NR
-/// codes, its inputs built up front.
-fn nr_reduce_op(def: &BenchDef, threads: usize) -> impl FnMut(u64) {
+/// The full profile+reduce pipeline on `size` Test-class NR codes, its
+/// inputs built up front: one op per pass.
+fn nr_reduce(def: &BenchDef, threads: usize) -> Sampler {
     let apps: Vec<_> = nr_suite(Class::Test).into_iter().take(def.size).collect();
     let cfg = PipelineConfig::fast()
         .with_k(KChoice::Fixed(4))
         .with_threads(threads);
-    move |_| {
+    sampler(def.batch, move |_| {
         let suite = profile_reference(&apps, &cfg);
         black_box(reduce_cached(&suite, &cfg, &MicroCache::new()));
-    }
+    })
 }
 
 /// The profile+reduce pipeline, untraced.
-fn pipeline_reduce(def: &BenchDef, samples: usize, threads: usize) -> Samples {
-    Ok(run_samples(def.batch, samples, nr_reduce_op(def, threads)))
+fn pipeline_reduce(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    Ok(nr_reduce(def, threads))
 }
 
 /// The same pipeline with the trace collector enabled (flight recorder
 /// explicitly disarmed: this isolates the span cost).
-fn pipeline_reduce_traced(def: &BenchDef, samples: usize, threads: usize) -> Samples {
-    let op = nr_reduce_op(def, threads);
-    Ok(with_trace_enabled(|| {
-        with_flightrec_armed(false, || run_samples(def.batch, samples, op))
-    }))
+fn pipeline_reduce_traced(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    Ok(traced(flightrec(false, nr_reduce(def, threads))))
 }
 
 /// The traced pipeline with the flight recorder armed — the full
 /// production observability posture.
-fn pipeline_reduce_traced_armed(def: &BenchDef, samples: usize, threads: usize) -> Samples {
-    let op = nr_reduce_op(def, threads);
-    Ok(with_trace_enabled(|| {
-        with_flightrec_armed(true, || run_samples(def.batch, samples, op))
-    }))
+fn pipeline_reduce_traced_armed(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    Ok(traced(flightrec(true, nr_reduce(def, threads))))
 }
 
 /// One armed flight-recorder event (`record_at` into the thread's log).
-fn obs_flightrec_record(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn obs_flightrec_record(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     // The log is bounded: a long batch evicts the oldest record, which
     // is the honest steady-state cost. The explicit timestamp keeps the
     // clock read out of the measured path.
-    Ok(with_flightrec_armed(true, || {
-        run_samples(def.batch, samples, |i| {
+    Ok(flightrec(
+        true,
+        sampler(def.batch, |i| {
             fgbs_trace::flightrec::record_at(
                 i,
                 fgbs_trace::flightrec::EventKind::Note,
                 "bench.obs",
                 i,
             );
-        })
-    }))
+        }),
+    ))
 }
 
 /// One value recorded into a log-linear quantile histogram.
-fn obs_hist_record(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn obs_hist_record(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let h = fgbs_trace::hist::Histogram::new();
-    Ok(run_samples(def.batch, samples, |i| {
+    Ok(sampler(def.batch, move |i| {
         h.record(i);
     }))
 }
@@ -404,28 +446,28 @@ fn bigdata_pack(apps: &[Application], pool: &WorkPool) -> Result<Vec<u8>, String
 }
 
 /// Build + encode a snippet pack from `size` bigdata apps.
-fn snippet_pack(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn snippet_pack(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
     let apps = bigdata_apps(def.size);
     let pool = WorkPool::new(threads);
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(bigdata_pack(&apps, &pool).expect("bench pack builds"));
     }))
 }
 
 /// Parse + checksum + semantically validate an encoded pack.
-fn snippet_unpack_verify(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn snippet_unpack_verify(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
     let bytes = bigdata_pack(&bigdata_apps(def.size), &WorkPool::new(threads))?;
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         black_box(verify_pack(&bytes).expect("bench pack verifies"));
     }))
 }
 
 /// Replay a parsed pack against its bitwise contract.
-fn snippet_replay(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn snippet_replay(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
     let pool = WorkPool::new(threads);
     let bytes = bigdata_pack(&bigdata_apps(def.size), &pool)?;
     let pack = parse_pack(&bytes).map_err(|e| format!("bench pack parse: {e}"))?;
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         let report = replay_pack(&pack, &pool).expect("bench replay runs");
         assert!(report.all_ok(), "bench replay met its contract");
         black_box(report);
@@ -435,10 +477,10 @@ fn snippet_replay(def: &BenchDef, samples: usize, threads: usize) -> Samples {
 /// The replay gate's baseline: the same codelets and contexts executed
 /// straight from the in-process suite, no pack in between.
 /// `snippet/replay` must land within 5% of it.
-fn snippet_inproc(def: &BenchDef, samples: usize, threads: usize) -> Samples {
+fn snippet_inproc(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
     let apps = bigdata_apps(def.size);
     let pool = WorkPool::new(threads);
-    Ok(run_samples(def.batch, samples, |_| {
+    Ok(sampler(def.batch, move |_| {
         for app in &apps {
             for ci in app.extractable() {
                 black_box(
@@ -452,35 +494,35 @@ fn snippet_inproc(def: &BenchDef, samples: usize, threads: usize) -> Samples {
 
 /// Mean per-request latency of a keep-alive load run (`size`
 /// concurrent connections).
-fn serve_load_mean(def: &BenchDef, samples: usize, threads: usize) -> Samples {
-    serve_load(ServeStat::Mean, def.size, threads, samples)
+fn serve_load_mean(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    serve_load(ServeStat::Mean, def.size, threads)
 }
 
 /// p99 per-request latency of the same load run.
-fn serve_load_p99(def: &BenchDef, samples: usize, threads: usize) -> Samples {
-    serve_load(ServeStat::P99, def.size, threads, samples)
+fn serve_load_p99(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    serve_load(ServeStat::P99, def.size, threads)
 }
 
 /// Wall-clock nanoseconds per completed request (inverse throughput)
 /// of the same load run.
-fn serve_load_wall(def: &BenchDef, samples: usize, threads: usize) -> Samples {
-    serve_load(ServeStat::Wall, def.size, threads, samples)
+fn serve_load_wall(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    serve_load(ServeStat::Wall, def.size, threads)
 }
 
 /// One simulated invocation of `codelet` under `binding` on the scaled
 /// Nehalem: the simulator's own cost.
-fn machine_run(def: &BenchDef, samples: usize, codelet: &Codelet, binding: &Binding) -> Samples {
+fn machine_run(def: &BenchDef, codelet: &Codelet, binding: Binding) -> Result<Sampler, String> {
     let arch = Arch::nehalem().scaled(PARK_SCALE);
     let kernel = compile(codelet, &arch.target(), CompileMode::InApp);
     let mut machine = Machine::new(arch);
-    Ok(run_samples(def.batch, samples, |_| {
-        black_box(machine.run(&kernel, binding));
+    Ok(sampler(def.batch, move |_| {
+        black_box(machine.run(&kernel, &binding));
     }))
 }
 
 /// A STREAM-style triad over `size` doubles per array: every iteration
 /// but the first on each line is a same-line replay.
-fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn machine_run_triad(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let codelet = CodeletBuilder::new("triad", "bench")
         .array("a", Precision::F64)
         .array("b", Precision::F64)
@@ -495,13 +537,13 @@ fn machine_run_triad(def: &BenchDef, samples: usize, _threads: usize) -> Samples
         .vector(n, 8)
         .param(n)
         .build_for(&codelet);
-    machine_run(def, samples, &codelet, &binding)
+    machine_run(def, &codelet, binding)
 }
 
 /// A 3-point stencil `y[i] = x[i] + x[i+1] + x[i+2]` over `size`
 /// doubles: its three loads cross lines at different iterations, so
 /// replays are shorter than the triad's.
-fn machine_run_stencil(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn machine_run_stencil(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let codelet = CodeletBuilder::new("stencil3", "bench")
         .array("x", Precision::F64)
         .array("y", Precision::F64)
@@ -516,12 +558,12 @@ fn machine_run_stencil(def: &BenchDef, samples: usize, _threads: usize) -> Sampl
         .vector(n, 8)
         .param(n)
         .build_for(&codelet);
-    machine_run(def, samples, &codelet, &binding)
+    machine_run(def, &codelet, binding)
 }
 
 /// A gather `y[i] = x[random]` over `size` doubles: its random load
 /// turns the same-line replay off, so every iteration is walked.
-fn machine_run_gather(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn machine_run_gather(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     let n = def.size as u64;
     let codelet = CodeletBuilder::new("gather", "bench")
         .array("x", Precision::F64)
@@ -534,7 +576,7 @@ fn machine_run_gather(def: &BenchDef, samples: usize, _threads: usize) -> Sample
         .vector(n, 8)
         .param(n)
         .build_for(&codelet);
-    machine_run(def, samples, &codelet, &binding)
+    machine_run(def, &codelet, binding)
 }
 
 /// One simulated cache access, per access and arch: a fixed seeded
@@ -542,7 +584,7 @@ fn machine_run_gather(def: &BenchDef, samples: usize, _threads: usize) -> Sample
 /// random, over a 1 MiB footprint, beyond every scaled L2) replayed
 /// through a fresh [`CacheSim`] of each scaled Table 1 machine. Samples
 /// are nanoseconds per simulated access.
-fn machine_cache_access(def: &BenchDef, samples: usize, _threads: usize) -> Samples {
+fn machine_cache_access(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
     const FOOTPRINT: u64 = 1 << 20;
     let archs: Vec<Arch> = Arch::table1()
         .into_iter()
@@ -567,7 +609,7 @@ fn machine_cache_access(def: &BenchDef, samples: usize, _threads: usize) -> Samp
         })
         .collect();
     let accesses = (stream.len() * archs.len()).max(1) as f64;
-    let per_replay = run_samples(def.batch, samples, |_| {
+    let mut per_replay = sampler(def.batch, move |_| {
         for arch in &archs {
             let mut cache = CacheSim::new(arch);
             let mut deepest = 0;
@@ -577,12 +619,20 @@ fn machine_cache_access(def: &BenchDef, samples: usize, _threads: usize) -> Samp
             black_box(deepest);
         }
     });
-    Ok(per_replay.into_iter().map(|ns| ns / accesses).collect())
+    Ok(Box::new(move || Ok(per_replay()? / accesses)))
 }
 
-/// A per-process scratch directory for store benchmarks.
-fn bench_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("fgbs-bench-{}-{tag}", std::process::id()))
+/// NAS class A's applications run in full on the scaled Nehalem, as
+/// Step B's profile runs them: the layer the simulator's settled
+/// replay speeds up. One op runs every application once.
+fn extract_run_application(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
+    let apps: Vec<Application> = nas_suite(Class::A).into_iter().take(def.size).collect();
+    let arch = Arch::reference_scaled();
+    Ok(sampler(def.batch, move |_| {
+        for app in &apps {
+            black_box(run_application(app, &arch, 0));
+        }
+    }))
 }
 
 /// Which statistic of a load run a serve stage samples.
@@ -602,40 +652,49 @@ enum ServeStat {
 /// `serve/*` row ids (keyed by connection count) stay comparable.
 const SERVE_REQUESTS_PER_CONN: usize = 8;
 
-/// One serve-load sample: spin up an in-process server, drive `conns`
-/// concurrent keep-alive clients through `fgbs_serve::loadgen`, and
-/// report the chosen statistic.
-fn serve_load(stat: ServeStat, conns: usize, threads: usize, samples: usize) -> Samples {
-    let dir = bench_dir("serve");
+/// An in-process server and its store directory, dropped in that
+/// order: the server stops before its store is removed.
+struct ServeRig {
+    server: Server,
+    _dir: ScratchDir,
+}
+
+/// Serve-load samples: spin up an in-process server, then per sample
+/// drive `conns` concurrent keep-alive clients through
+/// `fgbs_serve::loadgen` and report the chosen statistic. The first
+/// call runs one warm-up load first.
+fn serve_load(stat: ServeStat, conns: usize, threads: usize) -> Result<Sampler, String> {
+    let dir = ScratchDir::new("serve");
     let store =
-        std::sync::Arc::new(Store::open(&dir).map_err(|e| format!("bench serve store: {e}"))?);
+        std::sync::Arc::new(Store::open(&dir.0).map_err(|e| format!("bench serve store: {e}"))?);
     let service = std::sync::Arc::new(Service::new(
         PipelineConfig::fast().with_threads(1),
         store,
     ));
     let server = Server::start("127.0.0.1:0", threads, service)
         .map_err(|e| format!("bench serve bind: {e}"))?;
+    let rig = ServeRig { server, _dir: dir };
     let opts = loadgen::LoadOptions {
         conns,
         requests: SERVE_REQUESTS_PER_CONN,
         target: "/health".to_string(),
     };
-    let _ = loadgen::run(server.addr(), &opts); // warm-up
-    let mut out = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let report = loadgen::run(server.addr(), &opts);
+    let mut warm = false;
+    Ok(Box::new(move || {
+        if !warm {
+            let _ = loadgen::run(rig.server.addr(), &opts);
+            warm = true;
+        }
+        let report = loadgen::run(rig.server.addr(), &opts);
         if report.ok == 0 {
             return Err("bench serve load: no request completed".to_string());
         }
-        out.push(match stat {
+        Ok(match stat {
             ServeStat::Mean => report.mean_ns(),
             ServeStat::P99 => report.p99_ns() as f64,
             ServeStat::Wall => report.elapsed.as_nanos() as f64 / report.ok as f64,
-        });
-    }
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(out)
+        })
+    }))
 }
 
 #[cfg(test)]

@@ -28,6 +28,8 @@ mod dump;
 mod finder;
 mod micro;
 mod profile;
+#[cfg(test)]
+mod testapps;
 mod wellbehaved;
 
 pub use app::{Application, ApplicationBuilder, ScheduleEntry};

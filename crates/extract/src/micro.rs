@@ -72,24 +72,53 @@ impl Microbenchmark {
         min_run_seconds: f64,
         min_invocations: u64,
     ) -> MicroResult {
+        self.run_settled(arch, noise_seed, min_run_seconds, min_invocations, true)
+    }
+
+    /// [`Microbenchmark::run_with`], replaying settled invocations or
+    /// walking every one (the oracle the replay must match bit for bit).
+    /// Every invocation repeats the first on a machine nothing else
+    /// runs on, so each one after the first [`Machine::settling_runs`]
+    /// measures what the last of those did.
+    fn run_settled(
+        &self,
+        arch: &Arch,
+        noise_seed: u64,
+        min_run_seconds: f64,
+        min_invocations: u64,
+        replay: bool,
+    ) -> MicroResult {
         // Standalone compilation: fragile codelets change here.
         let kernel = compile(&self.codelet, &arch.target(), CompileMode::Standalone);
         let (binding, _mem) = self.dump.restore(&self.codelet);
         let mut machine = Machine::new(arch.clone());
         let mut watch = Stopwatch::for_arch(arch, noise_seed ^ 0x4d49_4352);
+        let settle = if replay {
+            machine.settling_runs()
+        } else {
+            u64::MAX
+        };
 
         let mut samples: Vec<f64> = Vec::with_capacity(min_invocations as usize * 2);
         let mut elapsed = 0.0f64;
         let min_cycles = arch.cycles(min_run_seconds);
         // Hard cap so a pathologically fast codelet cannot spin forever.
         let max_invocations = 10_000u64;
+        let mut last = None;
         while (samples.len() < min_invocations as usize || elapsed < min_cycles)
             && (samples.len() as u64) < max_invocations
         {
-            let meas = machine.run(&kernel, &binding);
+            let meas = match last.take() {
+                Some(meas) if samples.len() as u64 >= settle => {
+                    machine.replay(&meas);
+                    meas
+                }
+                _ => machine.run(&kernel, &binding),
+            };
             let observed = watch.observe(meas.cycles);
             samples.push(observed);
             elapsed += observed;
+            last = Some(meas);
         }
 
         let mut sorted = samples.clone();
@@ -195,5 +224,54 @@ mod tests {
         let a = m.run_on(&Arch::atom(), 5);
         let b = m.run_on(&Arch::atom(), 5);
         assert_eq!(a, b);
+    }
+}
+
+#[cfg(test)]
+mod settling_tests {
+    use super::*;
+    use crate::testapps::{seeded_app, suites, Draw};
+    use proptest::prelude::*;
+
+    /// Every extractable codelet of `app`, on every scaled machine, must
+    /// measure the same bits replayed as walked.
+    fn check(app: &Application, seed: u64, min_run_seconds: f64, min_invocations: u64) {
+        for idx in app.extractable() {
+            let Some(micro) = Microbenchmark::extract(app, idx) else {
+                continue;
+            };
+            for arch in Arch::park_scaled() {
+                let run = |replay| {
+                    let r =
+                        micro.run_settled(&arch, seed, min_run_seconds, min_invocations, replay);
+                    format!("{r:?}")
+                };
+                assert!(
+                    run(true) == run(false),
+                    "{} codelet {idx} on {}",
+                    app.name,
+                    arch.name
+                );
+            }
+        }
+    }
+
+    /// At the scaled pipelines' floor: 10 invocations and 20 µs.
+    #[test]
+    fn settled_replay_matches_the_walk_on_every_suite_codelet() {
+        for app in suites() {
+            check(&app, 0, 2.0e-5, MIN_INVOCATIONS);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn settled_replay_matches_the_walk_on_seeded_codelets(seed in any::<u64>()) {
+            let mut g = Draw(seed);
+            let floor = [0.0, 1.0e-6, 2.0e-5][g.below(3) as usize];
+            check(&seeded_app(seed), seed, floor, 1 + g.below(30));
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! the ground-truth "full benchmark" runs on the targets).
 
 use fgbs_isa::{compile, CompileMode, CompiledKernel};
-use fgbs_machine::{Arch, HwCounters, Machine, Stopwatch};
+use fgbs_machine::{Arch, HwCounters, Machine, Measurement, Stopwatch};
 
 use crate::app::Application;
 
@@ -96,8 +96,26 @@ impl AppRun {
 /// assert_eq!(run.profiles[i].invocations, 4);
 /// ```
 pub fn run_application(app: &Application, arch: &Arch, noise_seed: u64) -> AppRun {
+    run_schedule(app, arch, noise_seed, true)
+}
+
+/// [`run_application`], replaying settled invocations or walking every
+/// one (the oracle the replay must match bit for bit).
+///
+/// Each schedule entry repeats one invocation and each round repeats
+/// one sequence of them. So each repetition of an entry after its first
+/// [`Machine::settling_runs`] measures what the last of those did, and
+/// each round after the first `settling_runs()` measures what the last
+/// of those did, entry by entry. The stopwatch, the profiles and the
+/// totals still see every invocation in order.
+fn run_schedule(app: &Application, arch: &Arch, noise_seed: u64, replay: bool) -> AppRun {
     let mut machine = Machine::new(arch.clone());
     let mut watch = Stopwatch::for_arch(arch, noise_seed);
+    let settle = if replay {
+        machine.settling_runs()
+    } else {
+        u64::MAX
+    };
 
     // Compile each codelet once, in application context.
     let kernels: Vec<CompiledKernel> = app
@@ -122,21 +140,34 @@ pub fn run_application(app: &Application, arch: &Arch, noise_seed: u64) -> AppRu
         .collect();
 
     let mut total_cycles = 0.0;
-    for _round in 0..app.rounds {
-        for entry in &app.schedule {
-            let binding = &app.contexts[entry.codelet][entry.context];
-            for _ in 0..entry.repeats {
-                let meas = machine.run(&kernels[entry.codelet], binding);
-                let observed = watch.observe(meas.cycles);
-                let p = &mut profiles[entry.codelet];
-                if p.invocations == 0 {
-                    p.first_invocation_cycles = observed;
+    let mut credit = |codelet: usize, meas: &Measurement| {
+        let observed = watch.observe(meas.cycles);
+        let p = &mut profiles[codelet];
+        if p.invocations == 0 {
+            p.first_invocation_cycles = observed;
+        }
+        p.invocations += 1;
+        p.measured_cycles += observed;
+        p.true_cycles += meas.cycles;
+        p.counters.add(&meas.counters);
+        total_cycles += meas.cycles;
+    };
+    // Per entry, the walked repetitions of the latest walked round.
+    let mut last_walked: Vec<Vec<Measurement>> = vec![Vec::new(); app.schedule.len()];
+    for round in 0..app.rounds {
+        let walking = round < settle;
+        for (entry, walked) in app.schedule.iter().zip(&mut last_walked) {
+            if walking {
+                walked.clear();
+            }
+            for rep in 0..entry.repeats {
+                if walking && rep < settle {
+                    let binding = &app.contexts[entry.codelet][entry.context];
+                    walked.push(machine.run(&kernels[entry.codelet], binding));
+                } else {
+                    machine.replay(&walked[rep.min(settle - 1) as usize]);
                 }
-                p.invocations += 1;
-                p.measured_cycles += observed;
-                p.true_cycles += meas.cycles;
-                p.counters.add(&meas.counters);
-                total_cycles += meas.cycles;
+                credit(entry.codelet, &walked[rep.min(settle - 1) as usize]);
             }
         }
     }
@@ -289,5 +320,48 @@ mod helper_tests {
         let p = &run.profiles[0];
         // The cold first invocation exceeds the burst mean.
         assert!(p.first_invocation_cycles > p.mean_cycles());
+    }
+}
+
+#[cfg(test)]
+mod settling_tests {
+    use super::*;
+    use crate::testapps::{seeded_app, suites};
+    use proptest::prelude::*;
+
+    /// Whether two runs carry the same bits: `Debug` prints every float
+    /// in its shortest round-tripping form.
+    fn same_bits(a: &AppRun, b: &AppRun) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    #[test]
+    fn settled_replay_matches_the_walk_on_every_suite() {
+        for app in suites() {
+            for arch in Arch::park_scaled() {
+                let replayed = run_schedule(&app, &arch, 7, true);
+                let walked = run_schedule(&app, &arch, 7, false);
+                assert!(
+                    same_bits(&replayed, &walked),
+                    "{} on {}",
+                    app.name,
+                    arch.name
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn settled_replay_matches_the_walk_on_seeded_schedules(seed in any::<u64>()) {
+            let app = seeded_app(seed);
+            for arch in Arch::park_scaled() {
+                let replayed = run_schedule(&app, &arch, seed, true);
+                let walked = run_schedule(&app, &arch, seed, false);
+                prop_assert!(same_bits(&replayed, &walked), "{} on {}", app.name, arch.name);
+            }
+        }
     }
 }

@@ -136,6 +136,16 @@ impl CacheSim {
         self.levels[0].hits += n;
     }
 
+    /// Count a run's hits and misses per level, L1 first, without
+    /// touching any line: for a run the caller knows starts and ends in
+    /// the state the cache is in.
+    pub(crate) fn credit(&mut self, hits: &[u64], misses: &[u64]) {
+        for ((level, &h), &m) in self.levels.iter_mut().zip(hits).zip(misses) {
+            level.hits += h;
+            level.misses += m;
+        }
+    }
+
     /// Hits and misses per level, L1 first.
     pub fn stats(&self) -> Vec<(u64, u64)> {
         self.levels.iter().map(|l| (l.hits, l.misses)).collect()

@@ -25,6 +25,9 @@ pub struct Measurement {
 /// Cache contents persist across [`Machine::run`] calls; use
 /// [`Machine::flush_caches`] to model a cold start (e.g. a standalone
 /// microbenchmark's first invocation after loading its memory dump).
+/// A caller that repeats a sequence of runs walks the first
+/// [`Machine::settling_runs`] repetitions and [`Machine::replay`]s the
+/// rest.
 #[derive(Debug, Clone)]
 pub struct Machine {
     arch: Arch,
@@ -76,6 +79,32 @@ impl Machine {
     /// Execute one invocation of `kernel` under `binding`.
     pub fn run(&mut self, kernel: &CompiledKernel, binding: &Binding) -> Measurement {
         self.run_with(kernel, binding, true).0
+    }
+
+    /// How many repetitions of a repeated sequence of runs must be
+    /// walked before every later one measures what the last walked one
+    /// did: the number of cache levels + 1.
+    ///
+    /// A run's measurement is a pure function of its kernel, its binding
+    /// and the cache state, and LRU is idempotent under a repeated
+    /// stream: a second pass ends in the state the first left. L1 sees
+    /// the same stream every repetition, so it starts the second one
+    /// settled; level j sees the misses of the levels above it, so it
+    /// starts repetition j + 1 settled (DESIGN.md §2, "Steady-state
+    /// replay").
+    pub fn settling_runs(&self) -> u64 {
+        self.cache.levels() as u64 + 1
+    }
+
+    /// Account for a run that measured `meas` without walking it: its
+    /// per-level hits and misses go to the cache statistics and its
+    /// counters to the lifetime totals, and no line is touched. Exact
+    /// only for a run that starts from the state it ends in, such as a
+    /// repetition after [`Machine::settling_runs`] walked ones.
+    pub fn replay(&mut self, meas: &Measurement) {
+        let c = &meas.counters;
+        self.cache.credit(&c.cache_hits, &c.cache_misses);
+        self.lifetime.add(c);
     }
 
     /// [`Machine::run`], with the same-line replay on or off (off walks
@@ -813,6 +842,15 @@ mod tests {
         }
     }
 
+    /// `v`'s loop nest and accesses in place of a copy compiled for `arch`.
+    fn kernel(v: &Variant, arch: &Arch) -> CompiledKernel {
+        let mut k = compile(&copy_codelet(), &arch.target(), CompileMode::InApp);
+        k.ndims = v.dims.len();
+        k.dims = v.dims.clone();
+        k.accesses = v.accesses.clone();
+        k
+    }
+
     proptest! {
         /// Replaying same-line iterations changes no bit: every Table 1
         /// machine, full-size and scaled, runs three invocations with the
@@ -824,10 +862,7 @@ mod tests {
             for full in Arch::table1() {
                 for arch in [full.clone().scaled(PARK_SCALE), full] {
                     let name = format!("{} ({} KiB L1)", arch.name, arch.caches[0].size >> 10);
-                    let mut k = compile(&copy_codelet(), &arch.target(), CompileMode::InApp);
-                    k.ndims = v.dims.len();
-                    k.dims = v.dims.clone();
-                    k.accesses = v.accesses.clone();
+                    let k = kernel(&v, &arch);
                     let mut on = Machine::new(arch.clone());
                     let mut off = Machine::new(arch);
                     for inv in 0..3 {
@@ -842,6 +877,124 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A capacity divisor past [`PARK_SCALE`] that leaves the sequences
+    /// below spilling out of every machine's L2 and L3.
+    const SPILL_SCALE: u64 = 256;
+
+    /// A seeded sequence of 1-3 [`variant`] kernels compiled for `arch`.
+    fn sequence(seed: u64, arch: &Arch) -> Vec<(CompiledKernel, Binding)> {
+        let mut g = Draw(seed);
+        (0..1 + g.below(3))
+            .map(|_| {
+                let v = variant(g.below(u64::MAX));
+                (kernel(&v, arch), v.binding)
+            })
+            .collect()
+    }
+
+    /// The lines `cache` holds, in LRU order, without its statistics.
+    fn lines(cache: &CacheSim) -> CacheSim {
+        let mut c = cache.clone();
+        c.reset_stats();
+        c
+    }
+
+    /// Whether two repetitions of a sequence measured the same bits.
+    fn same_bits(a: &[Measurement], b: &[Measurement]) -> bool {
+        a.iter()
+            .zip(b)
+            .all(|(a, b)| a.cycles.to_bits() == b.cycles.to_bits() && a.counters == b.counters)
+    }
+
+    /// Walk `seq` `settling_runs() + 3` times on a fresh `arch` machine:
+    /// every repetition from `settling_runs()` on must measure the bits
+    /// the last walked one did and leave the lines as it found them. A
+    /// twin that walks `settling_runs()` repetitions and replays the last
+    /// one's measurements for the rest must end with the walker's
+    /// statistics, lifetime counters and lines. Returns how many
+    /// repetitions had to be walked: one past the last that measured
+    /// other bits than the next.
+    fn check_settling(seq: &[(CompiledKernel, Binding)], arch: &Arch) -> u64 {
+        let name = format!("{} ({} KiB L1)", arch.name, arch.caches[0].size >> 10);
+        let mut walker = Machine::new(arch.clone());
+        let settle = walker.settling_runs() as usize;
+        let mut reps: Vec<Vec<Measurement>> = Vec::new();
+        let mut settled = lines(&walker.cache);
+        for rep in 0..settle + 3 {
+            reps.push(seq.iter().map(|(k, b)| walker.run(k, b)).collect());
+            if rep + 1 == settle {
+                settled = lines(&walker.cache);
+            } else if rep >= settle {
+                assert!(
+                    same_bits(&reps[rep], &reps[settle - 1]),
+                    "{}: repetition {} measured other bits than repetition {}",
+                    name,
+                    rep,
+                    settle - 1
+                );
+                assert!(
+                    lines(&walker.cache) == settled,
+                    "{}: repetition {} moved a line",
+                    name,
+                    rep
+                );
+            }
+        }
+
+        let mut twin = Machine::new(arch.clone());
+        for rep in 0..settle + 3 {
+            for (i, (k, b)) in seq.iter().enumerate() {
+                if rep < settle {
+                    twin.run(k, b);
+                } else {
+                    twin.replay(&reps[settle - 1][i]);
+                }
+            }
+        }
+        assert_eq!(twin.cache.stats(), walker.cache.stats(), "{}", name);
+        assert_eq!(
+            twin.lifetime_counters(),
+            walker.lifetime_counters(),
+            "{}",
+            name
+        );
+        assert!(twin.cache == walker.cache, "{}: LRU state differs", name);
+
+        let needed = (1..=reps.len())
+            .find(|&w| reps[w..].iter().all(|r| same_bits(r, &reps[w - 1])))
+            .expect("the last repetition ends the search");
+        needed as u64
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Repeating a sequence of runs settles within `settling_runs()`
+        /// repetitions on every Table 1 machine: full-size, scaled to the
+        /// park, and scaled until its L2 and L3 overflow.
+        #[test]
+        fn settled_repetitions_replay_exactly(seed in any::<u64>()) {
+            for full in Arch::table1() {
+                for arch in [full.clone().scaled(PARK_SCALE), full.clone().scaled(SPILL_SCALE), full] {
+                    let needed = check_settling(&sequence(seed, &arch), &arch);
+                    prop_assert!(needed <= Machine::new(arch).settling_runs());
+                }
+            }
+        }
+    }
+
+    /// Full-size Atom has two levels, and this sequence of two kernels
+    /// needs all three of its walked repetitions: its third measures
+    /// other bits than its second, so walking one repetition per level
+    /// would replay the wrong one.
+    #[test]
+    fn a_sequence_can_need_every_settling_run() {
+        let atom = Arch::atom();
+        let seq = sequence(161, &atom);
+        assert_eq!(seq.len(), 2);
+        assert_eq!(check_settling(&seq, &atom), atom.caches.len() as u64 + 1);
     }
 }
 

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use fgbs_core::{
     profile_reference, try_predict, try_reduce_cached, try_sweep_k, KChoice, MicroCache,
-    PipelineConfig, PipelineError, ProfiledSuite,
+    PipelineConfig, PipelineError, ProfiledSuite, ReducedSuite,
 };
 use fgbs_extract::{Application, ApplicationBuilder};
 use fgbs_fault::Deadline;
@@ -318,6 +318,8 @@ pub struct Service {
     key_cfg: [String; 4],
     store: Arc<Store>,
     flight: SingleFlight<Arc<Response>>,
+    /// Reductions in flight, keyed by subject and K.
+    reduces: SingleFlight<Result<Arc<ReducedSuite>, PipelineError>>,
     metrics: Metrics,
     profiles: Mutex<HashMap<String, Arc<OnceLock<Arc<Profiled>>>>>,
     computations: AtomicU64,
@@ -354,6 +356,7 @@ impl Service {
             cfg: cfg.with_store(Arc::clone(&store)),
             store,
             flight: SingleFlight::new(),
+            reduces: SingleFlight::new(),
             metrics: Metrics::new(),
             profiles: Mutex::new(HashMap::new()),
             computations: AtomicU64::new(0),
@@ -603,6 +606,31 @@ impl Service {
         Arc::clone(profiled)
     }
 
+    /// Steps C–D for a subject at the K `cfg` carries, labelled
+    /// `k_label`. Without a deadline a reduction depends on the subject
+    /// and K alone, so concurrent first requests for one (subject, K),
+    /// say `/predict`s for two targets, share one: the leader computes
+    /// and stores it. A deadline-carrying request reduces alone, as in
+    /// [`Service::compute`].
+    fn reduce(
+        &self,
+        subject: &Subject,
+        profiled: &Profiled,
+        cfg: &PipelineConfig,
+        k_label: &str,
+    ) -> Result<Arc<ReducedSuite>, PipelineError> {
+        let run = || {
+            self.stage("stage.reduce", || {
+                try_reduce_cached(&profiled.suite, cfg, &profiled.sims)
+            })
+        };
+        if cfg.deadline.is_some() {
+            return run().map(Arc::new);
+        }
+        let key = format!("{}/{k_label}", subject.memo_key());
+        self.reduces.run(&key, || run().map(Arc::new)).0
+    }
+
     /// The service's pipeline configuration for one request, bounded by
     /// the request's deadline when it carries one.
     fn request_cfg(&self, deadline: Option<Deadline>) -> PipelineConfig {
@@ -761,7 +789,7 @@ impl Service {
             }
         }
         let cfg = self.request_cfg(deadline).with_k(k);
-        let reduced = self.stage("stage.reduce", || try_reduce_cached(suite, &cfg, sims))?;
+        let reduced = self.reduce(subject, &profiled, &cfg, k_label)?;
         let out = self.stage("stage.predict", || {
             try_predict(suite, &reduced, target, sims, &cfg)
         })?;
@@ -904,10 +932,11 @@ impl Service {
         k_label: &str,
         deadline: Option<Deadline>,
     ) -> Result<Response, PipelineError> {
-        let profiled = self.profiled(&Subject::Suite(spec));
-        let (suite, sims) = (&profiled.suite, &profiled.sims);
+        let subject = Subject::Suite(spec);
+        let profiled = self.profiled(&subject);
+        let suite = &profiled.suite;
         let cfg = self.request_cfg(deadline).with_k(k);
-        let reduced = self.stage("stage.reduce", || try_reduce_cached(suite, &cfg, sims))?;
+        let reduced = self.reduce(&subject, &profiled, &cfg, k_label)?;
         let clusters: Vec<Json> = reduced
             .clusters
             .iter()

@@ -206,8 +206,8 @@ fn simultaneous_identical_predicts_compute_once() {
 }
 
 /// Two simultaneous cold `/predict`s for one suite but different targets
-/// share one profile: the second waits on the first's instead of
-/// profiling the suite again.
+/// share one profile and one reduction: the second waits on the first's
+/// instead of computing them again.
 #[test]
 fn concurrent_first_predicts_for_two_targets_profile_once() {
     let dir = scratch("profile-once");
@@ -246,6 +246,9 @@ fn concurrent_first_predicts_for_two_targets_profile_once() {
         .and_then(|p| p.get("count"))
         .and_then(Json::as_u64);
     assert_eq!(profiles, Some(1), "the suite was profiled once");
+    // The profile, the (suite, K) reduction, and per target a prediction
+    // and a response: each written once.
+    assert_eq!(service.store().counters().puts, 6, "one put per artifact");
     let _ = fs::remove_dir_all(&dir);
 }
 
