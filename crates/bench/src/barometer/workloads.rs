@@ -22,7 +22,9 @@
 
 use std::hint::black_box;
 
-use fgbs_clustering::{linkage, medoid, normalize, DistanceMatrix, Linkage, MaskedDistanceCache};
+use fgbs_clustering::{
+    linkage, medoid, normalize, within_variance_curve, DistanceMatrix, Linkage, MaskedDistanceCache,
+};
 use fgbs_clustering::naive_linkage;
 use fgbs_core::{profile_reference, reduce_cached, select_features_ga, KChoice, MicroCache, PipelineConfig};
 use fgbs_extract::{run_application, Application};
@@ -165,6 +167,7 @@ pub(crate) const WORKLOADS: &[(&str, Workload)] = &[
     ("linkage_nnchain", linkage_nnchain),
     ("linkage_naive", linkage_naive),
     ("medoid", medoids),
+    ("elbow", elbow),
     ("ga_masked_cold", ga_masked_cold),
     ("ga_masked_patch", ga_masked_patch),
     ("ga_select", ga_select),
@@ -265,6 +268,17 @@ fn medoids(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
         for c in 0..k {
             black_box(medoid(&data, &part, c, &[]));
         }
+    }))
+}
+
+/// The GA's elbow curve: `W(k)` for every cut `k <= 24` of a Ward
+/// dendrogram over `size` observations of 38 columns (NR's 28 codelets
+/// under a typical mask).
+fn elbow(def: &BenchDef, _threads: usize) -> Result<Sampler, String> {
+    let data = observations(def.size, 38);
+    let dend = linkage(&DistanceMatrix::euclidean(&data), Linkage::Ward);
+    Ok(sampler(def.batch, move |_| {
+        black_box(within_variance_curve(&data, &dend, 24));
     }))
 }
 

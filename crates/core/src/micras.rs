@@ -25,8 +25,8 @@ type RunsCell = Arc<OnceLock<Arc<Vec<AppRun>>>>;
 /// that needs it.
 type MicroCell = Arc<OnceLock<MicroResult>>;
 
-/// A thread-safe cache of one suite's simulations: `(codelet index, arch
-/// name) → MicroResult` and `arch name → target runs`.
+/// A thread-safe cache of one suite's simulations: `arch name → codelet
+/// index → MicroResult` and `arch name → target runs`.
 ///
 /// Every entry is a pure function of its key only within one suite and
 /// one configuration (noise seed, micro-run floors), and an architecture
@@ -34,7 +34,9 @@ type MicroCell = Arc<OnceLock<MicroResult>>;
 /// park where a name denotes one machine.
 #[derive(Debug, Default)]
 pub struct MicroCache {
-    inner: Mutex<HashMap<(usize, String), MicroCell>>,
+    /// Per architecture, one cell slot per codelet index, so a lookup
+    /// borrows the name and a hit allocates nothing.
+    inner: Mutex<HashMap<String, Vec<Option<MicroCell>>>>,
     runs: Mutex<HashMap<String, RunsCell>>,
 }
 
@@ -58,8 +60,15 @@ impl MicroCache {
     ) -> MicroResult {
         // Stats, not counters: they stay out of the trace digest.
         let cell = {
-            let mut cells = self.inner.lock();
-            let cell = cells.entry((idx, arch.name.clone())).or_default();
+            let mut arches = self.inner.lock();
+            let cells = match arches.get_mut(arch.name.as_str()) {
+                Some(cells) => cells,
+                None => arches.entry(arch.name.clone()).or_default(),
+            };
+            if cells.len() <= idx {
+                cells.resize(idx + 1, None);
+            }
+            let cell = cells[idx].get_or_insert_with(MicroCell::default);
             if let Some(hit) = cell.get() {
                 fgbs_trace::stat("micro.cache_hits", 1);
                 return hit.clone();
@@ -98,6 +107,8 @@ impl MicroCache {
         self.inner
             .lock()
             .values()
+            .flatten()
+            .flatten()
             .filter(|cell| cell.get().is_some())
             .count()
     }

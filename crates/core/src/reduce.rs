@@ -84,20 +84,14 @@ pub(crate) fn select_representatives(
     let mut clusters = Vec::new();
     let ineligible: Vec<usize> = (0..n).filter(|&i| !eligible[i]).collect();
 
-    let mut surviving_members: Vec<Vec<usize>> = Vec::new();
     for c in 0..partition.k() {
-        let members = partition.members(c);
-        match medoid(data, partition, c, &ineligible) {
-            Some(rep) => {
-                surviving_members.push(members.clone());
-                clusters.push(Cluster {
-                    members,
-                    representative: rep,
-                });
-            }
-            None => {
-                // Dissolve below, once survivors are known.
-            }
+        // A cluster with no eligible medoid dissolves below, once the
+        // survivors are known.
+        if let Some(rep) = medoid(data, partition, c, &ineligible) {
+            clusters.push(Cluster {
+                members: partition.members(c),
+                representative: rep,
+            });
         }
     }
 
