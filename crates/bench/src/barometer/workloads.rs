@@ -26,7 +26,10 @@ use fgbs_clustering::{
     linkage, medoid, normalize, within_variance_curve, DistanceMatrix, Linkage, MaskedDistanceCache,
 };
 use fgbs_clustering::naive_linkage;
-use fgbs_core::{profile_reference, reduce_cached, select_features_ga, KChoice, MicroCache, PipelineConfig};
+use fgbs_core::{
+    profile_reference, reduce_cached, select_features_ga, wellness, KChoice, MicroCache,
+    PipelineConfig,
+};
 use fgbs_extract::{run_application, Application};
 use fgbs_genetic::GaConfig;
 use fgbs_isa::{compile, Binding, BindingBuilder, Codelet, CodeletBuilder, CompileMode, Precision};
@@ -192,6 +195,7 @@ pub(crate) const WORKLOADS: &[(&str, Workload)] = &[
     ("machine_run_gather", machine_run_gather),
     ("machine_cache_access", machine_cache_access),
     ("extract_run_application", extract_run_application),
+    ("extract_wellness", extract_wellness),
 ];
 
 /// The workload registered for `stage`.
@@ -646,6 +650,26 @@ fn extract_run_application(def: &BenchDef, _threads: usize) -> Result<Sampler, S
         for app in &apps {
             black_box(run_application(app, &arch, 0));
         }
+    }))
+}
+
+/// Step D's wellness check of NAS class A's codelets on the scaled
+/// Nehalem, as `reduce` runs it: the layer the settled replay of
+/// microbenchmark invocations speeds up. The suite is profiled once, up
+/// front; one op measures every codelet's microbenchmark into a fresh
+/// `MicroCache`.
+fn extract_wellness(def: &BenchDef, threads: usize) -> Result<Sampler, String> {
+    let cfg = PipelineConfig::default().with_threads(threads);
+    let suite = profile_reference(&nas_suite(Class::A), &cfg);
+    if suite.codelets.len() != def.size {
+        return Err(format!(
+            "`{}`: NAS class A has {} codelets",
+            def.id,
+            suite.codelets.len()
+        ));
+    }
+    Ok(sampler(def.batch, move |_| {
+        black_box(wellness(&suite, &cfg, &MicroCache::new()));
     }))
 }
 

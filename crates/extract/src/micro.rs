@@ -78,8 +78,9 @@ impl Microbenchmark {
     /// [`Microbenchmark::run_with`], replaying settled invocations or
     /// walking every one (the oracle the replay must match bit for bit).
     /// Every invocation repeats the first on a machine nothing else
-    /// runs on, so each one after the first [`Machine::settling_runs`]
-    /// measures what the last of those did.
+    /// runs on, so invocations are walked until the miss test
+    /// ([`Machine::settled`]) settles one, by [`Machine::settling_runs`]
+    /// at the latest, and every later one measures what that one did.
     fn run_settled(
         &self,
         arch: &Arch,
@@ -93,32 +94,36 @@ impl Microbenchmark {
         let (binding, _mem) = self.dump.restore(&self.codelet);
         let mut machine = Machine::new(arch.clone());
         let mut watch = Stopwatch::for_arch(arch, noise_seed ^ 0x4d49_4352);
-        let settle = if replay {
-            machine.settling_runs()
-        } else {
-            u64::MAX
-        };
 
         let mut samples: Vec<f64> = Vec::with_capacity(min_invocations as usize * 2);
         let mut elapsed = 0.0f64;
         let min_cycles = arch.cycles(min_run_seconds);
         // Hard cap so a pathologically fast codelet cannot spin forever.
         let max_invocations = 10_000u64;
-        let mut last = None;
-        while (samples.len() < min_invocations as usize || elapsed < min_cycles)
-            && (samples.len() as u64) < max_invocations
+        let mut walked = 0;
+        // What every later invocation measures, once a walked one settled.
+        let mut settled = None;
+        // At least one invocation, whatever the floors (zero, NaN).
+        while samples.is_empty()
+            || ((samples.len() < min_invocations as usize || elapsed < min_cycles)
+                && (samples.len() as u64) < max_invocations)
         {
-            let meas = match last.take() {
-                Some(meas) if samples.len() as u64 >= settle => {
+            let meas = match settled.take() {
+                Some(meas) => {
                     machine.replay(&meas);
                     meas
                 }
-                _ => machine.run(&kernel, &binding),
+                None => {
+                    walked += 1;
+                    machine.run(&kernel, &binding)
+                }
             };
             let observed = watch.observe(meas.cycles);
             samples.push(observed);
             elapsed += observed;
-            last = Some(meas);
+            if replay && machine.settled(walked, &meas.counters.cache_misses) {
+                settled = Some(meas);
+            }
         }
 
         let mut sorted = samples.clone();
@@ -215,6 +220,18 @@ mod tests {
             fragile,
             robust
         );
+    }
+
+    #[test]
+    fn zero_or_nan_floors_still_run_one_invocation() {
+        let app = app(Fragility::Robust);
+        let m = Microbenchmark::extract(&app, 0).unwrap();
+        for min_run_seconds in [0.0, f64::NAN] {
+            let r = m.run_with(&Arch::nehalem(), 0, min_run_seconds, 0);
+            assert_eq!(r.invocations, 1);
+            assert_eq!(r.median_cycles, r.mean_cycles);
+            assert!(r.median_cycles > 0.0);
+        }
     }
 
     #[test]

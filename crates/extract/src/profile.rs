@@ -103,19 +103,18 @@ pub fn run_application(app: &Application, arch: &Arch, noise_seed: u64) -> AppRu
 /// one (the oracle the replay must match bit for bit).
 ///
 /// Each schedule entry repeats one invocation and each round repeats
-/// one sequence of them. So each repetition of an entry after its first
-/// [`Machine::settling_runs`] measures what the last of those did, and
-/// each round after the first `settling_runs()` measures what the last
-/// of those did, entry by entry. The stopwatch, the profiles and the
-/// totals still see every invocation in order.
+/// one sequence of them. An entry's repetitions are walked until the
+/// miss test ([`Machine::settled`]) settles one, and every later
+/// repetition measures what that one did. Rounds are walked until the
+/// miss test, over the round's summed misses, or the line test
+/// ([`Machine::holds`], against a copy of the lines the round began
+/// with) settles one, and every later round measures what that one did,
+/// entry by entry. Both stop by [`Machine::settling_runs`] at the
+/// latest. The stopwatch, the profiles and the totals still see every
+/// invocation in order.
 fn run_schedule(app: &Application, arch: &Arch, noise_seed: u64, replay: bool) -> AppRun {
     let mut machine = Machine::new(arch.clone());
     let mut watch = Stopwatch::for_arch(arch, noise_seed);
-    let settle = if replay {
-        machine.settling_runs()
-    } else {
-        u64::MAX
-    };
 
     // Compile each codelet once, in application context.
     let kernels: Vec<CompiledKernel> = app
@@ -152,23 +151,39 @@ fn run_schedule(app: &Application, arch: &Arch, noise_seed: u64, replay: bool) -
         p.counters.add(&meas.counters);
         total_cycles += meas.cycles;
     };
-    // Per entry, the walked repetitions of the latest walked round.
+    // Per entry, the walked repetitions of the latest walked round; a
+    // repetition past them measures what the last one did.
     let mut last_walked: Vec<Vec<Measurement>> = vec![Vec::new(); app.schedule.len()];
-    for round in 0..app.rounds {
-        let walking = round < settle;
+    let mut walking = true;
+    let mut rounds_walked = 0;
+    for _ in 0..app.rounds {
+        let start = (walking && replay).then(|| machine.lines());
+        let mut misses = vec![0; arch.caches.len()];
         for (entry, walked) in app.schedule.iter().zip(&mut last_walked) {
             if walking {
                 walked.clear();
             }
-            for rep in 0..entry.repeats {
-                if walking && rep < settle {
-                    let binding = &app.contexts[entry.codelet][entry.context];
-                    walked.push(machine.run(&kernels[entry.codelet], binding));
+            let mut settled = !walking;
+            for rep in 0..entry.repeats as usize {
+                if settled {
+                    machine.replay(&walked[rep.min(walked.len() - 1)]);
                 } else {
-                    machine.replay(&walked[rep.min(settle - 1) as usize]);
+                    let binding = &app.contexts[entry.codelet][entry.context];
+                    let meas = machine.run(&kernels[entry.codelet], binding);
+                    settled =
+                        replay && machine.settled(rep as u64 + 1, &meas.counters.cache_misses);
+                    walked.push(meas);
                 }
-                credit(entry.codelet, &walked[rep.min(settle - 1) as usize]);
+                let meas = &walked[rep.min(walked.len() - 1)];
+                for (sum, m) in misses.iter_mut().zip(&meas.counters.cache_misses) {
+                    *sum += m;
+                }
+                credit(entry.codelet, meas);
             }
+        }
+        if let Some(start) = start {
+            rounds_walked += 1;
+            walking = !(machine.settled(rounds_walked, &misses) || machine.holds(&start));
         }
     }
 

@@ -73,6 +73,11 @@ impl Level {
     }
 }
 
+/// The lines a cache hierarchy holds: every level's sets, each in LRU
+/// order, without the statistics ([`crate::Machine::lines`]).
+#[derive(Debug)]
+pub struct Lines(Vec<Vec<u64>>);
+
 /// A multi-level cache simulator configured from an [`Arch`].
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq))]
@@ -144,6 +149,16 @@ impl CacheSim {
             level.hits += h;
             level.misses += m;
         }
+    }
+
+    /// A copy of every level's tags, L1 first.
+    pub(crate) fn lines(&self) -> Lines {
+        Lines(self.levels.iter().map(|l| l.tags.clone()).collect())
+    }
+
+    /// Whether every level holds the lines of `lines`, in the same order.
+    pub(crate) fn holds(&self, lines: &Lines) -> bool {
+        self.levels.iter().map(|l| &l.tags).eq(&lines.0)
     }
 
     /// Hits and misses per level, L1 first.

@@ -5,7 +5,7 @@
 use fgbs_isa::{AccessIndex, Binding, CompiledKernel, Precision, Trip, VOp};
 
 use crate::arch::{Arch, LINE};
-use crate::cache::CacheSim;
+use crate::cache::{CacheSim, Lines};
 use crate::counters::HwCounters;
 use crate::timing::comp_bounds;
 
@@ -25,9 +25,9 @@ pub struct Measurement {
 /// Cache contents persist across [`Machine::run`] calls; use
 /// [`Machine::flush_caches`] to model a cold start (e.g. a standalone
 /// microbenchmark's first invocation after loading its memory dump).
-/// A caller that repeats a sequence of runs walks the first
-/// [`Machine::settling_runs`] repetitions and [`Machine::replay`]s the
-/// rest.
+/// A caller that repeats a sequence of runs walks repetitions until one
+/// settles it ([`Machine::settled`], [`Machine::holds`]), at most
+/// [`Machine::settling_runs`] of them, and [`Machine::replay`]s the rest.
 #[derive(Debug, Clone)]
 pub struct Machine {
     arch: Arch,
@@ -81,9 +81,10 @@ impl Machine {
         self.run_with(kernel, binding, true).0
     }
 
-    /// How many repetitions of a repeated sequence of runs must be
-    /// walked before every later one measures what the last walked one
-    /// did: the number of cache levels + 1.
+    /// How many repetitions of a repeated sequence of runs are walked at
+    /// most before every later one measures what the last walked one
+    /// did: the number of cache levels + 1. [`Machine::settled`] and
+    /// [`Machine::holds`] stop most sequences sooner.
     ///
     /// A run's measurement is a pure function of its kernel, its binding
     /// and the cache state, and LRU is idempotent under a repeated
@@ -96,11 +97,39 @@ impl Machine {
         self.cache.levels() as u64 + 1
     }
 
+    /// The miss test: whether walked repetition `walked` (from 1) of a
+    /// repeated sequence of runs, which missed `misses[l]` times in
+    /// level `l` (L1 first), settled the sequence, so that every later
+    /// repetition measures what it did. It did at the
+    /// [`Machine::settling_runs`] bound, and before it if some level
+    /// `l < walked` had no miss: the `l` levels above it had settled,
+    /// so it saw the settled stream; a pass that only hits reorders
+    /// lines inside their sets, so the next identical pass ends where
+    /// this one did and hits again; and no level below it saw an access.
+    pub fn settled(&self, walked: u64, misses: &[u64]) -> bool {
+        walked >= self.settling_runs() || misses.iter().take(walked as usize).any(|&m| m == 0)
+    }
+
+    /// A copy of the lines every cache level holds, for
+    /// [`Machine::holds`].
+    pub fn lines(&self) -> Lines {
+        self.cache.lines()
+    }
+
+    /// The line test: whether every cache level holds the lines of
+    /// `lines`, in the same order. A repetition of a repeated sequence
+    /// of runs that ends holding the lines it began with has settled:
+    /// the next one starts from the state this one did, so it measures
+    /// the same bits run by run and ends there again.
+    pub fn holds(&self, lines: &Lines) -> bool {
+        self.cache.holds(lines)
+    }
+
     /// Account for a run that measured `meas` without walking it: its
     /// per-level hits and misses go to the cache statistics and its
     /// counters to the lifetime totals, and no line is touched. Exact
     /// only for a run that starts from the state it ends in, such as a
-    /// repetition after [`Machine::settling_runs`] walked ones.
+    /// repetition after a walked one that settled its sequence.
     pub fn replay(&mut self, meas: &Measurement) {
         let c = &meas.counters;
         self.cache.credit(&c.cache_hits, &c.cache_misses);
@@ -908,22 +937,46 @@ mod tests {
             .all(|(a, b)| a.cycles.to_bits() == b.cycles.to_bits() && a.counters == b.counters)
     }
 
+    /// How a repeated sequence settled: how many repetitions had to be
+    /// walked, and the first walked one the miss test or the line test
+    /// settled.
+    #[derive(Debug, PartialEq)]
+    struct Settling {
+        needed: u64,
+        detected: u64,
+    }
+
     /// Walk `seq` `settling_runs() + 3` times on a fresh `arch` machine:
     /// every repetition from `settling_runs()` on must measure the bits
     /// the last walked one did and leave the lines as it found them. A
     /// twin that walks `settling_runs()` repetitions and replays the last
     /// one's measurements for the rest must end with the walker's
-    /// statistics, lifetime counters and lines. Returns how many
+    /// statistics, lifetime counters and lines. Needed is how many
     /// repetitions had to be walked: one past the last that measured
-    /// other bits than the next.
-    fn check_settling(seq: &[(CompiledKernel, Binding)], arch: &Arch) -> u64 {
+    /// other bits than the next. Every walked repetition up to
+    /// `settling_runs()` that the miss test or the line test settles must
+    /// come at or after it.
+    fn check_settling(seq: &[(CompiledKernel, Binding)], arch: &Arch) -> Settling {
         let name = format!("{} ({} KiB L1)", arch.name, arch.caches[0].size >> 10);
         let mut walker = Machine::new(arch.clone());
         let settle = walker.settling_runs() as usize;
         let mut reps: Vec<Vec<Measurement>> = Vec::new();
         let mut settled = lines(&walker.cache);
+        // (walked repetition, settled by the miss test, by the line test)
+        let mut tested = Vec::new();
         for rep in 0..settle + 3 {
+            let before = walker.lines();
             reps.push(seq.iter().map(|(k, b)| walker.run(k, b)).collect());
+            if rep < settle {
+                let mut misses = vec![0; arch.caches.len()];
+                for m in &reps[rep] {
+                    for (sum, m) in misses.iter_mut().zip(&m.counters.cache_misses) {
+                        *sum += m;
+                    }
+                }
+                let w = rep as u64 + 1;
+                tested.push((w, walker.settled(w, &misses), walker.holds(&before)));
+            }
             if rep + 1 == settle {
                 settled = lines(&walker.cache);
             } else if rep >= settle {
@@ -964,8 +1017,19 @@ mod tests {
 
         let needed = (1..=reps.len())
             .find(|&w| reps[w..].iter().all(|r| same_bits(r, &reps[w - 1])))
-            .expect("the last repetition ends the search");
-        needed as u64
+            .expect("the last repetition ends the search") as u64;
+        for &(w, misses, lines) in &tested {
+            assert!(
+                !(misses || lines) || needed <= w,
+                "{name}: repetition {w} settled by the {} test, but {needed} had to be walked",
+                if misses { "miss" } else { "line" }
+            );
+        }
+        let detected = tested.iter().find(|&&(_, misses, lines)| misses || lines);
+        Settling {
+            needed,
+            detected: detected.map_or(u64::MAX, |&(w, _, _)| w),
+        }
     }
 
     proptest! {
@@ -973,13 +1037,14 @@ mod tests {
 
         /// Repeating a sequence of runs settles within `settling_runs()`
         /// repetitions on every Table 1 machine: full-size, scaled to the
-        /// park, and scaled until its L2 and L3 overflow.
+        /// park, and scaled until its L2 and L3 overflow. The miss test
+        /// and the line test never settle it sooner than it did.
         #[test]
         fn settled_repetitions_replay_exactly(seed in any::<u64>()) {
             for full in Arch::table1() {
                 for arch in [full.clone().scaled(PARK_SCALE), full.clone().scaled(SPILL_SCALE), full] {
-                    let needed = check_settling(&sequence(seed, &arch), &arch);
-                    prop_assert!(needed <= Machine::new(arch).settling_runs());
+                    let settling = check_settling(&sequence(seed, &arch), &arch);
+                    prop_assert!(settling.needed <= Machine::new(arch).settling_runs());
                 }
             }
         }
@@ -988,13 +1053,80 @@ mod tests {
     /// Full-size Atom has two levels, and this sequence of two kernels
     /// needs all three of its walked repetitions: its third measures
     /// other bits than its second, so walking one repetition per level
-    /// would replay the wrong one.
+    /// would replay the wrong one. Neither early test may settle it
+    /// after its second; L1's lines alone do not move in it.
     #[test]
     fn a_sequence_can_need_every_settling_run() {
         let atom = Arch::atom();
         let seq = sequence(161, &atom);
         assert_eq!(seq.len(), 2);
-        assert_eq!(check_settling(&seq, &atom), atom.caches.len() as u64 + 1);
+        let settle = atom.caches.len() as u64 + 1;
+        assert_eq!(
+            check_settling(&seq, &atom),
+            Settling {
+                needed: settle,
+                detected: settle
+            }
+        );
+    }
+
+    /// On the park-scaled Nehalem this sequence's second repetition
+    /// misses no line in L3, yet its third measures other bits: L2 had
+    /// not settled, so L3 had not seen the settled stream. Only a level
+    /// above the walked count may settle a repetition.
+    #[test]
+    fn a_deep_level_without_misses_can_be_unsettled() {
+        let arch = Arch::nehalem().scaled(PARK_SCALE);
+        let seq = sequence(155, &arch);
+        let mut m = Machine::new(arch.clone());
+        let mut misses = Vec::new();
+        for _ in 0..2 {
+            misses = vec![0; arch.caches.len()];
+            for (k, b) in &seq {
+                for (sum, m) in misses.iter_mut().zip(&m.run(k, b).counters.cache_misses) {
+                    *sum += m;
+                }
+            }
+        }
+        assert_eq!(misses[2], 0);
+        assert!(!m.settled(2, &misses));
+        assert_eq!(
+            check_settling(&seq, &arch),
+            Settling {
+                needed: 3,
+                detected: 3
+            }
+        );
+    }
+
+    /// A copy whose two arrays overflow the scaled Nehalem's L1 but fit
+    /// its L2: the warm second run misses L1 and only hits L2, so the
+    /// miss test settles it after 2 of its 4 walks.
+    #[test]
+    fn the_miss_test_settles_a_copy_that_fits_l2() {
+        let arch = Arch::nehalem().scaled(PARK_SCALE);
+        let c = copy_codelet();
+        let k = compile(&c, &arch.target(), CompileMode::InApp);
+        let n = 1024u64;
+        let b = BindingBuilder::new(0)
+            .vector(n, 8)
+            .vector(n, 8)
+            .param(n)
+            .build_for(&c);
+        let mut m = Machine::new(arch.clone());
+        let cold = m.run(&k, &b);
+        assert!(!m.settled(1, &cold.counters.cache_misses));
+        let warm = m.run(&k, &b);
+        assert!(warm.counters.cache_misses[0] > 0);
+        assert_eq!(warm.counters.cache_misses[1], 0);
+        assert!(m.settled(2, &warm.counters.cache_misses));
+        assert_eq!(
+            check_settling(&[(k, b)], &arch),
+            Settling {
+                needed: 2,
+                detected: 2
+            }
+        );
     }
 }
 

@@ -55,7 +55,7 @@ mod stopwatch;
 mod timing;
 
 pub use arch::{Arch, CacheLevel, MemorySystem, OpCost, PortMask, LINE, N_PORTS, PARK_SCALE};
-pub use cache::{AccessOutcome, CacheSim};
+pub use cache::{AccessOutcome, CacheSim, Lines};
 pub use counters::HwCounters;
 pub use exec::{Machine, Measurement};
 pub use stopwatch::Stopwatch;
